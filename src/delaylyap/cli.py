@@ -88,15 +88,20 @@ def _outdir(args):
     return out
 
 
-def _write_p_csv(path, taus, mats):
+def _p_csv_lines(taus, mats):
+    """Header and one row per lag of a ``P`` table, without line ends."""
     n = mats[0].shape[0]
-    header = ["tau"] + ["p_%d%d" % (i + 1, j + 1)
-                        for i in range(n) for j in range(n)]
+    yield ",".join(["tau"] + ["p_%d%d" % (i + 1, j + 1)
+                              for i in range(n) for j in range(n)])
+    for tau, P in zip(taus, mats):
+        row = [tau] + [P[i, j] for i in range(n) for j in range(n)]
+        yield ",".join("%.17g" % v for v in row)
+
+
+def _write_p_csv(path, taus, mats):
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for tau, P in zip(taus, mats):
-            row = [tau] + [P[i, j] for i in range(n) for j in range(n)]
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+        for line in _p_csv_lines(taus, mats):
+            fh.write(line + "\n")
 
 
 def _write_json(path, payload):
@@ -301,13 +306,8 @@ def cmd_sample(args):
     else:
         taus = list(config_mod.tau_grid(cfg, sys_))
     mats = [solver.P_at(sol, t) for t in taus]
-    n = sys_.n
-    header = ["tau"] + ["p_%d%d" % (i + 1, j + 1)
-                        for i in range(n) for j in range(n)]
-    print(",".join(header))
-    for tau, P in zip(taus, mats):
-        row = [tau] + [P[i, j] for i in range(n) for j in range(n)]
-        print(",".join("%.17g" % v for v in row))
+    for line in _p_csv_lines(taus, mats):
+        print(line)
     if args.out:
         _write_p_csv(_outdir(args) / "P_tau.csv", taus, mats)
     if sol.spectrum.verdict == spectrum.BORDERLINE:

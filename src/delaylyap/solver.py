@@ -12,8 +12,13 @@ matrix blocks with conditions split between ``tau = 0`` and ``tau = h``:
 Stacking the vectorized blocks gives a state of size ``ns = 2 n^2 +
 4 n nd`` with dynamics ``omega' = E omega`` and boundary condition
 ``F1 omega(0) + F2 omega(h) = rhs``. The boundary solve reduces to one
-linear system in ``G = F1 + F2 expm(E h)``; afterwards every value of the
-Lyapunov matrix follows from the matrix exponential of ``E``.
+linear system in ``G = F1 + F2 expm(E h)`` for ``omega(0)``, and
+``omega(h)`` reuses that exponential. Inside the interval a solution
+propagates ``omega(0)`` once, into a :class:`~delaylyap.linalg.ExpmTable`
+of ``expm(E tau) omega(0)`` on ``[0, h]``, and every value of the Lyapunov
+matrix, and of the kernel, that :func:`P_at` and the residual checks use
+is sampled from that table or from the kernel's table of ``expm(-Ad s)``.
+:func:`evaluate_omega` keeps the direct exponential as a reference.
 
 ``P`` on ``[-h, 0)`` is defined by the reflection ``P(-tau) = P(tau).T``,
 which leaves a derivative kink at ``tau = 0``; the residual checks below
@@ -21,13 +26,13 @@ keep their difference stencils and quadrature panels on one side of it.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg
 from . import spectrum as spectrum_mod
 from .linalg import kron, unvec, vec
-from .model import kernel_at
 from .quadrature import integrate
 
 
@@ -116,15 +121,17 @@ class AuxOperator:
     """Assembled constant matrices of the auxiliary boundary-value problem.
 
     ``E`` drives the stacked state, ``F1`` and ``F2`` weight its values at
-    ``tau = 0`` and ``tau = h`` in the boundary condition, and ``G = F1 +
-    F2 expm(E h)`` is the combined boundary matrix whose conditioning
-    decides solvability.
+    ``tau = 0`` and ``tau = h`` in the boundary condition, ``expm_Eh`` is
+    the propagator ``expm(E h)`` across the interval, and ``G = F1 + F2
+    expm_Eh`` is the combined boundary matrix whose conditioning decides
+    solvability.
     """
 
     system: object
     E: np.ndarray
     F1: np.ndarray
     F2: np.ndarray
+    expm_Eh: np.ndarray
     G: np.ndarray
     ns: int
 
@@ -200,14 +207,21 @@ def assemble(sys):
     place(F2, 4, 3, np.eye(sizes[3]))
     place(F2, 5, 5, np.eye(sizes[5]))
 
-    G = F1 + F2 @ linalg.expm(E, sys.h)
-    return AuxOperator(sys, E, F1, F2, G, ns)
+    expm_Eh = linalg.expm(E, sys.h)
+    return AuxOperator(sys, E, F1, F2, expm_Eh, F1 + F2 @ expm_Eh, ns)
 
 
 @dataclass(frozen=True, eq=False)
 class LyapunovSolution:
     """Boundary solve outcome: initial state plus everything needed to
-    propagate it."""
+    propagate it.
+
+    The state at ``tau = h`` and the two tables are built on first use and
+    kept: ``omega_table`` samples ``expm(E tau) omega0`` and
+    ``kernel_table`` samples ``expm(-Ad s)``, both on ``[0, h]``. Only
+    interior points need a table, so a system with ``h = 0``, or a caller
+    that asks for ``P(0)`` and ``P(h)`` alone, never builds one.
+    """
 
     system: object
     weight: object
@@ -215,6 +229,20 @@ class LyapunovSolution:
     omega0: OmegaBlocks
     spectrum: spectrum_mod.SpectrumReport
     rcond: float
+
+    @cached_property
+    def omega_h(self):
+        return OmegaBlocks(self.op.expm_Eh @ self.omega0.stacked,
+                           self.op.n, self.op.internal_dim)
+
+    @cached_property
+    def omega_table(self):
+        return linalg.ExpmTable(self.op.E, self.system.h, self.omega0.stacked)
+
+    @cached_property
+    def kernel_table(self):
+        return linalg.ExpmTable(-self.system.Ad, self.system.h,
+                                np.eye(self.system.internal_dim))
 
 
 def solve_boundary(op, weight,
@@ -270,11 +298,36 @@ def evaluate_omega(sol, tau):
     return OmegaBlocks(stacked, sol.op.n, sol.op.internal_dim)
 
 
+def _omega(sol, t):
+    """Stacked state at ``t`` in ``[0, h]``: the boundary values at the
+    ends, the solution's table inside."""
+    if t == 0:
+        return sol.omega0
+    if t == sol.system.h:
+        return sol.omega_h
+    return OmegaBlocks(sol.omega_table(t), sol.op.n, sol.op.internal_dim)
+
+
+def _kernel_factor(sol, theta):
+    """``Cd expm(Ad theta)`` for ``theta`` in ``[-h, 0]``."""
+    return sol.system.Cd @ sol.kernel_table(-theta)
+
+
+def _kernel(sol, theta):
+    """The kernel ``Cd expm(Ad theta) Bd`` for ``theta`` in ``[-h, 0]``."""
+    return _kernel_factor(sol, theta) @ sol.system.Bd
+
+
 def P_at(sol, tau):
     """Delay Lyapunov matrix at ``tau``, for ``|tau| <= h``.
 
-    Values on ``[0, h]`` average the two propagator blocks; negative
-    arguments use the reflection ``P(-tau) = P(tau).T``.
+    Values on ``[0, h]`` average block 1 of ``omega(tau)`` and the
+    transpose of block 2 of ``omega(h - tau)``; negative arguments use the
+    reflection ``P(-tau) = P(tau).T``. ``P(0)`` and ``P(h)`` read the
+    boundary states ``omega(0)`` and ``omega(h) = expm(E h) omega(0)``;
+    interior lags sample the solution's table of ``expm(E tau) omega(0)``,
+    built on the first such call, so each further lag costs ``O(ns)``
+    instead of two ``ns x ns`` exponentials.
     """
     h = sol.system.h
     tau = float(tau)
@@ -284,8 +337,8 @@ def P_at(sol, tau):
     tau = min(h, max(-h, tau))
     if tau < 0:
         return P_at(sol, -tau).T
-    o1 = evaluate_omega(sol, tau).omega1
-    o2 = evaluate_omega(sol, h - tau).omega2
+    o1 = _omega(sol, tau).omega1
+    o2 = _omega(sol, h - tau).omega2
     return 0.5 * (o1 + o2.T)
 
 
@@ -299,7 +352,8 @@ def residual_dde(sol, taus=None, quad_tol=1e-10):
     The derivative is approximated with second-order difference stencils
     (one-sided near both endpoints, keeping clear of the reflection kink)
     and the convolution term integrates the kernel against ``P``, with the
-    quadrature split at the kink crossing. Requires ``h > 0``.
+    quadrature split at the kink crossing. ``P`` and the kernel come from
+    the solution's tables, as in :func:`P_at`. Requires ``h > 0``.
     """
     sys = sol.system
     h = sys.h
@@ -322,7 +376,7 @@ def residual_dde(sol, taus=None, quad_tol=1e-10):
             dP = (P_at(sol, tau + eps) - P_at(sol, tau - eps)) / (2 * eps)
 
         def f(theta):
-            return P_at(sol, tau + theta) @ kernel_at(sys, theta)
+            return P_at(sol, tau + theta) @ _kernel(sol, theta)
 
         conv = np.zeros((sys.n, sys.n))
         for lo, hi in ((-h, -tau), (-tau, 0.0)):
@@ -342,7 +396,7 @@ def residual_algebraic(sol, quad_tol=1e-10):
     Ph = P_at(sol, sys.h)
 
     def f(theta):
-        K = kernel_at(sys, theta)
+        K = _kernel(sol, theta)
         return K.T @ P_at(sol, -theta) + P_at(sol, theta) @ K
 
     if sys.h > 0:
@@ -359,30 +413,29 @@ def residual_collapsed(sol, taus=None, quad_tol=1e-10):
 
     Each of blocks 3 to 6 equals a finite convolution of the kernel with
     one propagator block; evaluating those integrals by quadrature and
-    comparing confirms the collapsed internal dynamics."""
-    sys = sol.system
-    h = sys.h
+    comparing confirms the collapsed internal dynamics. Both sides sample
+    the solution's tables."""
+    h = sol.system.h
     if taus is None:
         taus = _default_grid(h, 11)
-    Cd, Ad = sys.Cd, sys.Ad
 
     def ker(theta):
-        return Cd @ linalg.expm(Ad, theta)
+        return _kernel_factor(sol, theta)
 
     worst = 0.0
     for tau in np.asarray(taus, dtype=float):
         if tau < 0 or tau > h:
             raise ValueError("residual grid point %g outside [0, h]" % tau)
-        om = evaluate_omega(sol, tau)
+        om = _omega(sol, tau)
         pieces = [
             (om.omega3, -tau, 0.0,
-             lambda th, t=tau: evaluate_omega(sol, t + th).omega1 @ ker(th)),
+             lambda th, t=tau: _omega(sol, t + th).omega1 @ ker(th)),
             (om.omega4, -h, -tau,
-             lambda th, t=tau: evaluate_omega(sol, t + th + h).omega2 @ ker(th)),
+             lambda th, t=tau: _omega(sol, t + th + h).omega2 @ ker(th)),
             (om.omega5, -h, -h + tau,
-             lambda th, t=tau: ker(th).T @ evaluate_omega(sol, t - th - h).omega1),
+             lambda th, t=tau: ker(th).T @ _omega(sol, t - th - h).omega1),
             (om.omega6, -h + tau, 0.0,
-             lambda th, t=tau: ker(th).T @ evaluate_omega(sol, t - th).omega2),
+             lambda th, t=tau: ker(th).T @ _omega(sol, t - th).omega2),
         ]
         for target, lo, hi, f in pieces:
             if hi > lo:
@@ -401,8 +454,8 @@ def flip_residuals(sol, taus=None):
         taus = _default_grid(h, 11)
     r1 = r3 = r4 = 0.0
     for tau in np.asarray(taus, dtype=float):
-        om = evaluate_omega(sol, tau)
-        rev = evaluate_omega(sol, h - tau)
+        om = _omega(sol, tau)
+        rev = _omega(sol, h - tau)
         r1 = max(r1, linalg.maxabs(om.omega1 - rev.omega2.T))
         r3 = max(r3, linalg.maxabs(om.omega3 - rev.omega6.T))
         r4 = max(r4, linalg.maxabs(om.omega4 - rev.omega5.T))
@@ -418,7 +471,7 @@ def flip_residuals(sol, taus=None):
 def endpoint_residuals(sol):
     """Defects of the boundary conditions at the interval ends."""
     om0 = sol.omega0
-    omh = evaluate_omega(sol, sol.system.h)
+    omh = sol.omega_h
     return {
         "omega1_0_minus_omega2_h": linalg.maxabs(om0.omega1 - omh.omega2),
         "omega3_at_0": linalg.maxabs(om0.omega3),

@@ -95,16 +95,12 @@ def characteristic_matrix(sys, lam):
     elif sys.h == 0:
         transform = np.zeros((n, n), dtype=complex)
     else:
-        def integrand_real(theta):
+        def integrand(theta):
             f = np.exp(lam * theta) * (sys.Cd @ linalg.expm(sys.Ad, theta) @ sys.Bd)
-            return f.real
+            return np.stack([f.real, f.imag])
 
-        def integrand_imag(theta):
-            f = np.exp(lam * theta) * (sys.Cd @ linalg.expm(sys.Ad, theta) @ sys.Bd)
-            return f.imag
-
-        transform = quadrature.integrate(integrand_real, -sys.h, 0.0, tol=1e-12) \
-            + 1j * quadrature.integrate(integrand_imag, -sys.h, 0.0, tol=1e-12)
+        parts = quadrature.integrate(integrand, -sys.h, 0.0, tol=1e-12)
+        transform = parts[0] + 1j * parts[1]
     return lam * np.eye(n) - sys.A0 - np.exp(-lam * sys.h) * sys.A1 - transform
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -113,6 +115,92 @@ class TestExpm:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             linalg.expm(np.ones((2, 3)))
+
+
+def _relerr(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+class TestExpmTable:
+    @staticmethod
+    def dense(m, seed):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((m, m)) / np.sqrt(m), rng
+
+    @staticmethod
+    def non_normal(m=10):
+        # stable diagonal under large upper-triangular coupling: expm(M t)
+        # grows by four orders of magnitude on [0, 0.5]. Stronger coupling
+        # puts the error of the reference expm itself above 1e-13.
+        rng = np.random.default_rng(29)
+        M = np.triu(rng.uniform(5.0, 20.0, (m, m)), 1)
+        return M - np.diag(rng.uniform(0.5, 2.0, m)), rng
+
+    @pytest.mark.parametrize("case", ["dense24", "dense216", "non_normal"])
+    @pytest.mark.parametrize("cols", [None, 3])
+    def test_matches_expm(self, case, cols):
+        if case == "non_normal":
+            M, rng = self.non_normal()
+            T = 0.5
+        else:
+            M, rng = self.dense(int(case[5:]), 31)
+            T = 1.7
+        m = M.shape[0]
+        X = rng.standard_normal(m if cols is None else (m, cols))
+        table = linalg.ExpmTable(M, T, X)
+        # the endpoint, off-node points, the nodes themselves and the
+        # midpoints between them
+        ts = np.concatenate([[T], rng.uniform(0.0, T, 10),
+                             np.arange(table.nodes) * table.delta,
+                             (np.arange(table.nodes - 1) + 0.5) * table.delta])
+        for t in ts:
+            got = table(t)
+            assert got.shape == X.shape
+            assert _relerr(got, linalg.expm(M, t) @ X) <= 1e-13
+
+    @pytest.mark.parametrize("cols", [None, 2])
+    def test_start_is_exact(self, cols):
+        M, rng = self.dense(24, 37)
+        X = rng.standard_normal(24 if cols is None else (24, cols))
+        assert np.array_equal(linalg.ExpmTable(M, 1.0, X)(0.0), X)
+        M, _ = self.non_normal()
+        X = rng.standard_normal(M.shape[0] if cols is None else (M.shape[0], cols))
+        assert np.array_equal(linalg.ExpmTable(M, 0.5, X)(0.0), X)
+
+    def test_node_spacing_and_degree(self):
+        M, rng = self.dense(24, 43)
+        T = 2.0
+        table = linalg.ExpmTable(M, T, np.ones(24))
+        J = table.nodes - 1
+        assert J == max(1, int(np.ceil(np.linalg.norm(M, 1) * T)))
+        assert table.delta * J == pytest.approx(T, rel=1e-15)
+        assert linalg.ExpmTable(np.zeros((2, 2)), 3.0, np.ones(2)).nodes == 2
+        K = linalg.ExpmTable.DEGREE
+        assert K == 14
+
+        def bound(k):
+            return 0.5 ** (k + 1) * np.exp(0.5) / math.factorial(k + 1)
+
+        assert bound(K) <= 2.0 ** -53 < bound(K - 1)
+
+    def test_domain(self):
+        table = linalg.ExpmTable(np.eye(2), 1.0, np.ones(2))
+        table(1.0 + 1e-12)
+        for t in (-0.01, 1.01, np.nan):
+            with pytest.raises(ValueError):
+                table(t)
+        for T in (0.0, -1.0, np.inf):
+            with pytest.raises(ValueError):
+                linalg.ExpmTable(np.eye(2), T, np.ones(2))
+        with pytest.raises(ValueError):
+            linalg.ExpmTable(np.ones((2, 3)), 1.0, np.ones(2))
+        with pytest.raises(ValueError):
+            linalg.ExpmTable(np.eye(2), 1.0, np.ones(3))
+
+    def test_overflow(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(OverflowError):
+                linalg.ExpmTable(np.array([[800.0]]), 1.0, np.ones(1))
 
 
 class TestSolveLinear:

@@ -19,6 +19,8 @@ from delaylyap import (
     solve,
     solve_boundary,
 )
+from delaylyap import linalg
+from delaylyap.cli import VALIDATION_BOUNDS
 from delaylyap.solver import OmegaBlocks, block_offsets, block_sizes
 
 from systems import (
@@ -248,6 +250,80 @@ class TestPEvaluation:
         sol = solve(sys, weight)
         with pytest.raises(ValueError):
             evaluate_omega(sol, np.inf)
+
+
+def P_by_expm(sol, tau):
+    """``P`` on ``[0, h]`` from two direct exponentials, as defined."""
+    h = sol.system.h
+    return 0.5 * (evaluate_omega(sol, tau).omega1
+                  + evaluate_omega(sol, h - tau).omega2.T)
+
+
+class TestPropagationTable:
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4])
+    def test_matches_expm_formula(self, seed):
+        if seed is None:
+            sys, weight = benchmark_system()
+            taus = np.linspace(0.0, sys.h, 201)
+        else:
+            sys = random_stable_system(seed, 6, 6)
+            weight = Weight(np.eye(6))
+            taus = np.linspace(0.0, sys.h, 21)
+        sol = solve(sys, weight)
+        for tau in taus:
+            want = P_by_expm(sol, tau)
+            got = P_at(sol, tau)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("seed", [None, 0])
+    def test_endpoints_are_bitwise(self, seed):
+        if seed is None:
+            sys, weight = benchmark_system()
+        else:
+            sys, weight = random_stable_system(seed, 6, 6), Weight(np.eye(6))
+        sol = solve(sys, weight)
+        for tau in (0.0, sys.h):
+            assert np.array_equal(P_at(sol, tau), P_by_expm(sol, tau))
+        assert "omega_table" not in vars(sol)
+        assert "kernel_table" not in vars(sol)
+
+    def test_table_is_built_once(self, monkeypatch):
+        built = []
+        original = linalg.ExpmTable
+
+        def counting(*args):
+            built.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(linalg, "ExpmTable", counting)
+        sys, weight = benchmark_system()
+        sol = solve(sys, weight)
+        P_at(sol, 0.0)
+        P_at(sol, sys.h)
+        assert built == []
+        P_at(sol, 0.3)
+        table = sol.omega_table
+        P_at(sol, 0.7)
+        assert len(built) == 1
+        assert sol.omega_table is table
+
+    def test_zero_delay_builds_no_table(self):
+        sys, weight = scalar_decay(h=0.0)
+        sol = solve(sys, weight)
+        report = residual_report(sol)
+        assert report["algebraic"] <= 1e-12
+        assert "omega_table" not in vars(sol)
+        assert "kernel_table" not in vars(sol)
+
+    def test_residuals_check_the_served_table(self):
+        # P_at and the residuals must read the same table: corrupting it
+        # has to show in the residual report
+        sys, weight = benchmark_system()
+        sol = solve(sys, weight)
+        sol.omega_table.terms[:, 0] += 1e-6
+        report = residual_report(sol)
+        assert report["collapsed"] > VALIDATION_BOUNDS["collapsed"]
+        assert report["dde"] > VALIDATION_BOUNDS["dde"]
 
 
 class TestEmbeddingConsistency:
