@@ -9,7 +9,6 @@ boundary-value problem through the matrix exponential (:mod:`.solver`),
 and is cross-checked by direct simulation and quadrature (:mod:`.sim`).
 """
 
-from .linalg import SingularSystemError
 from .model import (
     TimeDelaySystem,
     Weight,
@@ -75,7 +74,6 @@ __all__ = [
     "OmegaBlocks",
     "P_at",
     "RunConfig",
-    "SingularSystemError",
     "SpectrumConditionViolated",
     "SpectrumReport",
     "TimeDelaySystem",

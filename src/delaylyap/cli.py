@@ -140,7 +140,6 @@ def _report_lines(sys_, sol, residuals):
         "delay h=%.17g" % sys_.h,
         "solvability: %s (sigma_min=%.6e, relative=%.6e)"
         % (sol.spectrum.verdict, sol.spectrum.sigma_min, sol.spectrum.relative),
-        "boundary solve rcond=%.6e" % sol.rcond,
     ]
     if residuals:
         lines.append("residuals:")
@@ -168,7 +167,6 @@ def cmd_solve(args):
         "ns": sol.op.ns,
         "h": sys_.h,
         "spectrum": _spectrum_dict(sol.spectrum),
-        "rcond": sol.rcond,
         "residuals": residuals,
         "P0": _matrix_list(solver.P_at(sol, 0.0)),
         "tau_count": int(len(taus)),
@@ -273,7 +271,6 @@ def cmd_validate(args):
     payload = {
         "command": "validate",
         "spectrum": _spectrum_dict(sol.spectrum),
-        "rcond": sol.rcond,
         "checks": checks,
         "all_passed": bool(ok),
     }

@@ -10,21 +10,6 @@ import numpy as np
 import scipy.linalg
 
 
-class SingularSystemError(np.linalg.LinAlgError):
-    """Linear system rejected as numerically singular.
-
-    Carries the reciprocal condition estimate that triggered the rejection.
-    """
-
-    def __init__(self, rcond, threshold):
-        self.rcond = float(rcond)
-        self.threshold = float(threshold)
-        super().__init__(
-            "linear system is numerically singular: "
-            "rcond estimate %.3e is below threshold %.3e" % (rcond, threshold)
-        )
-
-
 def vec(M):
     """Stack the columns of a matrix into a single vector."""
     M = np.asarray(M)
@@ -46,11 +31,6 @@ def unvec(v, rows, cols):
             "cannot reshape length %d into %d x %d" % (v.size, rows, cols)
         )
     return v.reshape(rows, cols, order="F")
-
-
-def kron(Y, Z):
-    """Kronecker product with the block layout ``[y_ij * Z]``."""
-    return np.kron(np.asarray(Y), np.asarray(Z))
 
 
 def expm(M, scale=1.0):
@@ -172,37 +152,6 @@ class ExpmTable:
         j = min(self.nodes - 1, max(0, round(t / self.delta)))
         s = t - j * self.delta
         return (s ** self._exponents @ self.terms[j]).reshape(self.shape)
-
-
-def solve_linear(A, b, rcond_threshold=1e-12):
-    """Solve ``A x = b`` and report a reciprocal condition estimate.
-
-    Parameters
-    ----------
-    A : (m, m) array_like
-    b : (m,) array_like
-    rcond_threshold : float, optional
-        Systems with ``sigma_min / sigma_max`` below this value raise
-        :class:`SingularSystemError` instead of returning garbage.
-
-    Returns
-    -------
-    x : (m,) ndarray
-    rcond : float
-        Estimate of ``sigma_min(A) / sigma_max(A)``.
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("solve_linear expects a square matrix, got %s" % (A.shape,))
-    if b.shape != (A.shape[0],):
-        raise ValueError("right-hand side shape %s does not match %s" % (b.shape, A.shape))
-    sv = scipy.linalg.svdvals(A)
-    rcond = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
-    if rcond < rcond_threshold:
-        raise SingularSystemError(rcond, rcond_threshold)
-    x = scipy.linalg.solve(A, b)
-    return x, rcond
 
 
 def smallest_singular_value(A):

@@ -359,6 +359,17 @@ def _tail_fit(ts, gs):
     return -float(slope)
 
 
+def _grows(fits):
+    """Whether the last two horizons' tail fits, each ``(T, rate, final)``,
+    both show growth: a negative fitted rate on each, and a final magnitude
+    that rose from the shorter horizon to the longer one. A doubled horizon
+    then only grows the integrand further, so the doubling can stop."""
+    if len(fits) < 2:
+        return False
+    (_, rate0, final0), (_, rate1, final1) = fits[-2:]
+    return rate0 < 0 and rate1 < 0 and final1 > final0
+
+
 def cost_quadrature(traj, weight):
     """Quadratic running cost of a vector trajectory.
 
@@ -390,15 +401,22 @@ def cost_to_go(sys, weight, history, T=None, dt=None, tail_tol=1e-5,
     tail correction drops below ``tail_tol``.
 
     Returns the final estimate together with the trajectory it came from.
+    The doubling also stops once two consecutive horizons show a growing
+    integrand; the estimate returned then is not ``decaying``.
     """
     if T is None:
         T = max(20.0, 20.0 * sys.h)
     est = None
     traj = None
+    fits = []
     for _ in range(max_doublings + 1):
         traj = simulate(sys, history, T, dt=dt)
         est = cost_quadrature(traj, weight)
         if math.isfinite(est.tail) and abs(est.tail) <= tail_tol:
+            break
+        x = traj.xs[-1]
+        fits.append((T, est.rate, abs(float(x @ weight.matrix @ x))))
+        if _grows(fits):
             break
         T *= 2
     return est, traj
@@ -411,7 +429,8 @@ def oracle_P(sys, weight, tau, T=None, dt=None, tail_tol=1e-5, max_doublings=8):
     rule on the simulation grid, ``Phi`` being the fundamental matrix,
     then adds an exponential-tail correction. The horizon doubles until
     the tail is below ``tail_tol``; a system whose fundamental matrix does
-    not decay makes this fail with ``RuntimeError``.
+    not decay makes this fail with ``RuntimeError``, raised as soon as two
+    consecutive horizons fit a growing integrand.
 
     This is deliberately independent of the boundary-value construction
     and serves as its cross-check.
@@ -427,6 +446,7 @@ def oracle_P(sys, weight, tau, T=None, dt=None, tail_tol=1e-5, max_doublings=8):
         raise ValueError("weight dimension does not match the system")
     if dt is None:
         dt = sys.h / 64 if sys.h > 0 else 1.0 / 64
+    fits = []
     for attempt in range(max_doublings + 1):
         # margin keeps the shifted reads t + tau inside the record
         traj = fundamental_matrix(sys, T + tau + 2 * dt, dt=dt)
@@ -446,6 +466,12 @@ def oracle_P(sys, weight, tau, T=None, dt=None, tail_tol=1e-5, max_doublings=8):
             return integral
         if rate > 0 and last / rate <= tail_tol:
             return integral + M[-1] / rate
+        fits.append((T, rate, last))
+        if _grows(fits):
+            raise RuntimeError(
+                "fundamental matrix grows: fitted rate %.3g at T=%g and %.3g at T=%g"
+                % (-fits[-2][1], fits[-2][0], -fits[-1][1], fits[-1][0])
+            )
         T *= 2
     raise RuntimeError(
         "fundamental matrix does not decay fast enough for the quadrature "

@@ -12,7 +12,8 @@ matrix blocks with conditions split between ``tau = 0`` and ``tau = h``:
 Stacking the vectorized blocks gives a state of size ``ns = 2 n^2 +
 4 n nd`` with dynamics ``omega' = E omega`` and boundary condition
 ``F1 omega(0) + F2 omega(h) = rhs``. The boundary solve reduces to one
-linear system in ``G = F1 + F2 expm(E h)`` for ``omega(0)``, and
+linear system in ``G = F1 + F2 expm(E h)`` for ``omega(0)``: one SVD of
+``G`` grades its solvability and one LU factorization solves it, and
 ``omega(h)`` reuses that exponential. Inside the interval a solution
 propagates ``omega(0)`` once, into a :class:`~delaylyap.linalg.ExpmTable`
 of ``expm(E tau) omega(0)`` on ``[0, h]``, and every value of the Lyapunov
@@ -26,94 +27,70 @@ keep their difference stencils and quadrature panels on one side of it.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 
 from . import linalg
 from . import spectrum as spectrum_mod
-from .linalg import kron, unvec, vec
+from .linalg import vec
 from .quadrature import integrate
+
+
+@cache
+def _layout(n, nd):
+    """Shapes of the six blocks in stacking order, and their offsets in
+    the stacked state, ending with its length ``ns``."""
+    shapes = ((n, n), (n, n), (n, nd), (n, nd), (nd, n), (nd, n))
+    return shapes, tuple(accumulate((r * c for r, c in shapes), initial=0))
 
 
 def block_sizes(n, nd):
     """Lengths of the six vectorized blocks in the stacked state."""
-    return [n * n, n * n, n * nd, n * nd, nd * n, nd * n]
+    return [r * c for r, c in _layout(n, nd)[0]]
 
 
 def block_offsets(n, nd):
-    out = [0]
-    for s in block_sizes(n, nd):
-        out.append(out[-1] + s)
-    return out
+    """Start of each block in the stacked state, then its length ``ns``."""
+    return list(_layout(n, nd)[1])
 
 
-@dataclass(frozen=True, eq=False)
-class OmegaBlocks:
-    """View of the stacked auxiliary state as six matrices."""
+class OmegaBlocks(NamedTuple):
+    """The stacked auxiliary state as its six matrices, in block order.
 
-    stacked: np.ndarray
-    n: int
-    internal_dim: int
+    ``OmegaBlocks(*blocks)`` takes the matrices themselves;
+    :meth:`from_stacked` splits a stacked state into views of its blocks
+    and :attr:`stacked` concatenates them back.
+    """
 
-    def __post_init__(self):
-        v = np.asarray(self.stacked, dtype=float)
-        expected = 2 * self.n ** 2 + 4 * self.n * self.internal_dim
-        if v.shape != (expected,):
-            raise ValueError(
-                "stacked state has shape %s, expected (%d,)" % (v.shape, expected)
-            )
-        object.__setattr__(self, "stacked", v)
+    omega1: np.ndarray
+    omega2: np.ndarray
+    omega3: np.ndarray
+    omega4: np.ndarray
+    omega5: np.ndarray
+    omega6: np.ndarray
 
     @classmethod
-    def from_blocks(cls, blocks):
-        """Build from the six matrices in block order."""
-        if len(blocks) != 6:
-            raise ValueError("expected 6 blocks, got %d" % len(blocks))
-        n = np.asarray(blocks[0]).shape[0]
-        nd = np.asarray(blocks[2]).shape[1] if np.asarray(blocks[2]).size else 1
-        shapes = [(n, n), (n, n), (n, nd), (n, nd), (nd, n), (nd, n)]
-        for M, s in zip(blocks, shapes):
-            if np.asarray(M).shape != s:
-                raise ValueError("block shape %s, expected %s" % (np.asarray(M).shape, s))
-        stacked = np.concatenate([vec(M) for M in blocks])
-        return cls(stacked, n, nd)
-
-    def _block(self, i):
-        off = block_offsets(self.n, self.internal_dim)
-        shapes = [
-            (self.n, self.n), (self.n, self.n),
-            (self.n, self.internal_dim), (self.n, self.internal_dim),
-            (self.internal_dim, self.n), (self.internal_dim, self.n),
-        ]
-        return unvec(self.stacked[off[i]:off[i + 1]], *shapes[i])
+    def from_stacked(cls, stacked, n, nd):
+        """Split a stacked state of a system with state dimension ``n``
+        and kernel dimension ``nd``; a wrong length raises ``ValueError``."""
+        shapes, off = _layout(n, nd)
+        v = np.asarray(stacked, dtype=float)
+        if v.shape != (off[-1],):
+            raise ValueError(
+                "stacked state has shape %s, expected (%d,)" % (v.shape, off[-1])
+            )
+        # the transpose of a row-major (cols, rows) view is the column-major
+        # (rows, cols) block that ``vec`` stacked, without a copy
+        return cls(*[v[a:b].reshape(c, r).T
+                     for a, b, (r, c) in zip(off, off[1:], shapes)])
 
     @property
-    def omega1(self):
-        return self._block(0)
-
-    @property
-    def omega2(self):
-        return self._block(1)
-
-    @property
-    def omega3(self):
-        return self._block(2)
-
-    @property
-    def omega4(self):
-        return self._block(3)
-
-    @property
-    def omega5(self):
-        return self._block(4)
-
-    @property
-    def omega6(self):
-        return self._block(5)
-
-    def blocks(self):
-        return tuple(self._block(i) for i in range(6))
+    def stacked(self):
+        return np.concatenate([vec(M) for M in self])
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,37 +149,37 @@ def assemble(sys):
         M[off[i]:off[i + 1], off[j]:off[j + 1]] = blk
 
     E = np.zeros((ns, ns))
-    place(E, 0, 0, kron(A0.T, In))
-    place(E, 0, 1, kron(A1.T, In))
-    place(E, 0, 2, kron(Bd.T, In))
-    place(E, 0, 3, kron(Bd.T, In))
-    place(E, 1, 0, -kron(In, A1.T))
-    place(E, 1, 1, -kron(In, A0.T))
-    place(E, 1, 4, -kron(In, Bd.T))
-    place(E, 1, 5, -kron(In, Bd.T))
-    place(E, 2, 0, kron(Cd.T, In))
-    place(E, 2, 2, -kron(Ad.T, In))
-    place(E, 3, 1, -kron(Ead.T, In))
-    place(E, 3, 3, -kron(Ad.T, In))
-    place(E, 4, 0, kron(In, Ead.T))
-    place(E, 4, 4, kron(In, Ad.T))
-    place(E, 5, 1, -kron(In, Cd.T))
-    place(E, 5, 5, kron(In, Ad.T))
+    place(E, 0, 0, np.kron(A0.T, In))
+    place(E, 0, 1, np.kron(A1.T, In))
+    place(E, 0, 2, np.kron(Bd.T, In))
+    place(E, 0, 3, np.kron(Bd.T, In))
+    place(E, 1, 0, -np.kron(In, A1.T))
+    place(E, 1, 1, -np.kron(In, A0.T))
+    place(E, 1, 4, -np.kron(In, Bd.T))
+    place(E, 1, 5, -np.kron(In, Bd.T))
+    place(E, 2, 0, np.kron(Cd.T, In))
+    place(E, 2, 2, -np.kron(Ad.T, In))
+    place(E, 3, 1, -np.kron(Ead.T, In))
+    place(E, 3, 3, -np.kron(Ad.T, In))
+    place(E, 4, 0, np.kron(In, Ead.T))
+    place(E, 4, 4, np.kron(In, Ad.T))
+    place(E, 5, 1, -np.kron(In, Cd.T))
+    place(E, 5, 5, np.kron(In, Ad.T))
 
     F1 = np.zeros((ns, ns))
-    place(F1, 0, 0, kron(A0.T, In))
-    place(F1, 0, 1, kron(A1.T, In))
-    place(F1, 0, 2, kron(Bd.T, In))
-    place(F1, 0, 3, kron(Bd.T, In))
+    place(F1, 0, 0, np.kron(A0.T, In))
+    place(F1, 0, 1, np.kron(A1.T, In))
+    place(F1, 0, 2, np.kron(Bd.T, In))
+    place(F1, 0, 3, np.kron(Bd.T, In))
     place(F1, 1, 0, np.eye(sizes[0]))
     place(F1, 2, 2, np.eye(sizes[2]))
     place(F1, 3, 4, np.eye(sizes[4]))
 
     F2 = np.zeros((ns, ns))
-    place(F2, 0, 0, kron(In, A1.T))
-    place(F2, 0, 1, kron(In, A0.T))
-    place(F2, 0, 4, kron(In, Bd.T))
-    place(F2, 0, 5, kron(In, Bd.T))
+    place(F2, 0, 0, np.kron(In, A1.T))
+    place(F2, 0, 1, np.kron(In, A0.T))
+    place(F2, 0, 4, np.kron(In, Bd.T))
+    place(F2, 0, 5, np.kron(In, Bd.T))
     place(F2, 1, 1, -np.eye(sizes[1]))
     place(F2, 4, 3, np.eye(sizes[3]))
     place(F2, 5, 5, np.eye(sizes[5]))
@@ -228,12 +205,11 @@ class LyapunovSolution:
     op: AuxOperator
     omega0: OmegaBlocks
     spectrum: spectrum_mod.SpectrumReport
-    rcond: float
 
     @cached_property
     def omega_h(self):
-        return OmegaBlocks(self.op.expm_Eh @ self.omega0.stacked,
-                           self.op.n, self.op.internal_dim)
+        return OmegaBlocks.from_stacked(self.op.expm_Eh @ self.omega0.stacked,
+                                        self.op.n, self.op.internal_dim)
 
     @cached_property
     def omega_table(self):
@@ -249,6 +225,11 @@ def solve_boundary(op, weight,
                    hard=spectrum_mod.HARD_THRESHOLD,
                    borderline=spectrum_mod.BORDERLINE_THRESHOLD):
     """Solve the boundary condition for the initial stacked state.
+
+    The singular values that :func:`delaylyap.spectrum.check` takes of
+    ``G`` are the only ones computed: they decide whether the system has a
+    solution, so what remains is one LU solve of ``G x = rhs``, the
+    residual rows of ``rhs`` being ``-vec(Q)`` and zeros.
 
     Parameters
     ----------
@@ -279,9 +260,9 @@ def solve_boundary(op, weight,
         raise spectrum_mod.SpectrumConditionViolated(report)
     rhs = np.zeros(op.ns)
     rhs[: n * n] = -vec(weight.matrix)
-    x, rcond = linalg.solve_linear(op.G, rhs, rcond_threshold=0.0)
-    omega0 = OmegaBlocks(x, n, op.internal_dim)
-    return LyapunovSolution(op.system, weight, op, omega0, report, rcond)
+    omega0 = OmegaBlocks.from_stacked(scipy.linalg.solve(op.G, rhs),
+                                      n, op.internal_dim)
+    return LyapunovSolution(op.system, weight, op, omega0, report)
 
 
 def solve(sys, weight, **kwargs):
@@ -295,7 +276,7 @@ def evaluate_omega(sol, tau):
     if not np.isfinite(tau):
         raise ValueError("tau must be finite")
     stacked = linalg.expm(sol.op.E, tau) @ sol.omega0.stacked
-    return OmegaBlocks(stacked, sol.op.n, sol.op.internal_dim)
+    return OmegaBlocks.from_stacked(stacked, sol.op.n, sol.op.internal_dim)
 
 
 def _omega(sol, t):
@@ -305,7 +286,8 @@ def _omega(sol, t):
         return sol.omega0
     if t == sol.system.h:
         return sol.omega_h
-    return OmegaBlocks(sol.omega_table(t), sol.op.n, sol.op.internal_dim)
+    return OmegaBlocks.from_stacked(sol.omega_table(t), sol.op.n,
+                                    sol.op.internal_dim)
 
 
 def _kernel_factor(sol, theta):
@@ -342,10 +324,6 @@ def P_at(sol, tau):
     return 0.5 * (o1 + o2.T)
 
 
-def _default_grid(h, count):
-    return np.linspace(0.0, h, count)
-
-
 def residual_dde(sol, taus=None, quad_tol=1e-10):
     """Max-abs defect of the delay differential equation for ``P``.
 
@@ -360,7 +338,7 @@ def residual_dde(sol, taus=None, quad_tol=1e-10):
     if h <= 0:
         raise ValueError("residual_dde needs h > 0")
     if taus is None:
-        taus = _default_grid(h, 21)
+        taus = np.linspace(0.0, h, 21)
     eps = 1e-6 * h
     worst = 0.0
     for tau in np.asarray(taus, dtype=float):
@@ -417,7 +395,7 @@ def residual_collapsed(sol, taus=None, quad_tol=1e-10):
     the solution's tables."""
     h = sol.system.h
     if taus is None:
-        taus = _default_grid(h, 11)
+        taus = np.linspace(0.0, h, 11)
 
     def ker(theta):
         return _kernel_factor(sol, theta)
@@ -451,7 +429,7 @@ def flip_residuals(sol, taus=None):
     interval, plus the symmetry of block 1 at the origin."""
     h = sol.system.h
     if taus is None:
-        taus = _default_grid(h, 11)
+        taus = np.linspace(0.0, h, 11)
     r1 = r3 = r4 = 0.0
     for tau in np.asarray(taus, dtype=float):
         om = _omega(sol, tau)

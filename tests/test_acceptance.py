@@ -204,11 +204,11 @@ def test_criterion_7_assembly_oracle():
         op = assemble(sys)
         blocks0 = [rng.standard_normal(s) for s in shapes(n, nd)]
         blocksh = [rng.standard_normal(s) for s in shapes(n, nd)]
-        om0 = OmegaBlocks.from_blocks(blocks0)
-        omh = OmegaBlocks.from_blocks(blocksh)
+        om0 = OmegaBlocks(*blocks0)
+        omh = OmegaBlocks(*blocksh)
         diff_e = np.max(np.abs(
             op.E @ om0.stacked
-            - OmegaBlocks.from_blocks(stacked_derivative_oracle(sys, blocks0)).stacked
+            - OmegaBlocks(*stacked_derivative_oracle(sys, blocks0)).stacked
         ))
         diff_b = np.max(np.abs(
             op.F1 @ om0.stacked + op.F2 @ omh.stacked

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -17,6 +20,7 @@ from delaylyap import (
     solve,
     zero_kernel,
 )
+from delaylyap import sim
 from delaylyap.model import TimeDelaySystem
 from delaylyap.quadrature import integrate
 
@@ -364,6 +368,33 @@ class TestOracleP:
             with np.errstate(over="ignore", invalid="ignore"):
                 oracle_P(sys, Weight([[1.0]]), 0.0, max_doublings=2)
 
+    def test_growth_stops_after_two_horizons(self, monkeypatch):
+        # x' = x: both the oracle and the cost see growth at T = 20 and
+        # T = 40 and stop there, long before the run overflows
+        Ad, Bd, Cd = zero_kernel(1)
+        sys = TimeDelaySystem([[1.0]], [[0.0]], Ad, Bd, Cd, 1.0)
+        weight = Weight([[1.0]])
+        runs = []
+
+        def counting(original):
+            def run(*args, **kwargs):
+                runs.append(original.__name__)
+                return original(*args, **kwargs)
+            return run
+
+        monkeypatch.setattr(sim, "fundamental_matrix",
+                            counting(sim.fundamental_matrix))
+        with pytest.raises(RuntimeError, match="grows.*T=20.*T=40"):
+            oracle_P(sys, weight, 0.0)
+        assert runs == ["fundamental_matrix"] * 2
+
+        runs.clear()
+        monkeypatch.setattr(sim, "simulate", counting(sim.simulate))
+        est, traj = cost_to_go(sys, weight, HistorySpec.point_mass([1.0]))
+        assert runs == ["simulate"] * 2
+        assert not est.decaying
+        assert traj.ts[-1] == pytest.approx(40.0)
+
 
 class TestFundamentalMatrix:
     def test_identity_at_zero(self):
@@ -386,3 +417,27 @@ class TestFundamentalMatrix:
         sys, _ = benchmark_system()
         traj = fundamental_matrix(sys, 20.0)
         assert np.max(np.abs(traj.xs[-1])) < 1e-2
+
+
+def _imported_modules(module):
+    """Every name in the import statements of a package module's source."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names.update(alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_oracles_share_no_code_with_the_boundary_route():
+    # the simulation oracles check the boundary-value route, so neither
+    # side may import the other
+    from delaylyap import solver, spectrum
+
+    assert not {"solver", "spectrum"} & _imported_modules(sim)
+    for module in (solver, spectrum):
+        assert "sim" not in _imported_modules(module)

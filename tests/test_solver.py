@@ -62,15 +62,20 @@ class TestBlockLayout:
         n, nd = 3, 2
         blocks = [rng.standard_normal(s) for s in
                   [(n, n), (n, n), (n, nd), (n, nd), (nd, n), (nd, n)]]
-        om = OmegaBlocks.from_blocks(blocks)
-        for got, want in zip(om.blocks(), blocks):
+        stacked = OmegaBlocks(*blocks).stacked
+        assert np.array_equal(
+            stacked, np.concatenate([M.reshape(-1, order="F") for M in blocks]))
+        om = OmegaBlocks.from_stacked(stacked, n, nd)
+        for got, want in zip(om, blocks):
             assert np.array_equal(got, want)
+        # the blocks are views of the stacked state, not copies
+        assert all(np.shares_memory(M, stacked) for M in om)
 
     def test_omega_blocks_validation(self):
         with pytest.raises(ValueError):
-            OmegaBlocks(np.zeros(7), 1, 1)
-        with pytest.raises(ValueError):
-            OmegaBlocks.from_blocks([np.zeros((2, 2))] * 5)
+            OmegaBlocks.from_stacked(np.zeros(7), 1, 1)
+        with pytest.raises(TypeError):
+            OmegaBlocks(*[np.zeros((2, 2))] * 5)
 
 
 class TestAssembly:
@@ -84,10 +89,9 @@ class TestAssembly:
             op = assemble(sys)
             blocks = [rng.standard_normal(s) for s in
                       [(n, n), (n, n), (n, nd), (n, nd), (nd, n), (nd, n)]]
-            om = OmegaBlocks.from_blocks(blocks)
+            om = OmegaBlocks(*blocks)
             got = op.E @ om.stacked
-            want = OmegaBlocks.from_blocks(
-                stacked_derivative_oracle(sys, blocks)).stacked
+            want = OmegaBlocks(*stacked_derivative_oracle(sys, blocks)).stacked
             assert np.max(np.abs(got - want)) < 1e-13
 
     def test_operator_shape(self):
@@ -144,9 +148,8 @@ class TestBoundarySolve:
         tau, eps = 0.3, 1e-6
         fd = (evaluate_omega(sol, tau + eps).stacked
               - evaluate_omega(sol, tau - eps).stacked) / (2 * eps)
-        want = OmegaBlocks.from_blocks(
-            stacked_derivative_oracle(sys, evaluate_omega(sol, tau).blocks())
-        ).stacked
+        want = OmegaBlocks(
+            *stacked_derivative_oracle(sys, evaluate_omega(sol, tau))).stacked
         assert np.max(np.abs(fd - want)) < 1e-7
 
     def test_zero_weight_gives_zero(self):
@@ -180,10 +183,39 @@ class TestBoundarySolve:
         assert info.value.report.relative < 1e-10
 
     def test_rcond_recorded(self):
+        # the conditioning a solution records is its spectrum report's
+        # sigma_min(G) / max|G|; no second estimate is kept
         sys, weight = benchmark_system()
         sol = solve(sys, weight)
-        assert 0 < sol.rcond <= 1
-        assert sol.spectrum.verdict == "satisfied"
+        assert not hasattr(sol, "rcond")
+        report = sol.spectrum
+        assert report.verdict == "satisfied"
+        assert report.sigma_min > 0
+        assert report.max_abs == np.max(np.abs(sol.op.G))
+        assert report.relative == report.sigma_min / report.max_abs
+
+    @pytest.mark.parametrize("seed", [None, 0])
+    def test_one_decomposition_decides_and_solves(self, seed, monkeypatch):
+        # the SVD that grades solvability is the only one taken of G; the
+        # solution is the plain LU solve, bitwise
+        if seed is None:
+            sys, weight = benchmark_system()
+        else:
+            sys, weight = random_stable_system(seed, 6, 6), Weight(np.eye(6))
+        op = assemble(sys)
+        calls = []
+        for mod, name in ((scipy.linalg, "svd"), (scipy.linalg, "svdvals"),
+                          (np.linalg, "svd")):
+            def counting(*args, _fn=getattr(mod, name), **kwargs):
+                calls.append(_fn)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(mod, name, counting)
+        sol = solve_boundary(op, weight)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        rhs = np.zeros(op.ns)
+        rhs[: sys.n ** 2] = -weight.matrix.reshape(-1, order="F")
+        assert np.array_equal(sol.omega0.stacked, scipy.linalg.solve(op.G, rhs))
 
 
 class TestClosedForms:
