@@ -227,11 +227,10 @@ def cmd_validate(args):
 
     h = sys_.h
     taus = [f * h for f in (0.0, 0.25, 0.5, 0.75, 1.0)] if h > 0 else [0.0]
-    for tau in taus:
-        Pc = solver.P_at(sol, tau)
-        Po = sim_mod.oracle_P(sys_, weight, tau, T=cfg.simulation.T,
+    oracle = sim_mod.oracle_P(sys_, weight, taus, T=cfg.simulation.T,
                               dt=cfg.simulation.dt, tail_tol=tol["tail"])
-        diff = maxabs(Pc - Po)
+    for tau, Po in zip(taus, oracle):
+        diff = maxabs(solver.P_at(sol, tau) - Po)
         bound = 1e-3 * max(1.0, maxabs(Po))
         passed = diff <= bound
         ok = ok and passed
@@ -240,18 +239,17 @@ def cmd_validate(args):
 
     P0 = solver.P_at(sol, 0.0)
     first_traj = None
-    for vec in cfg.simulation.histories:
-        x0 = np.asarray(vec, dtype=float)
-        hist = sim_mod.HistorySpec.point_mass(x0)
+    for hist in config_mod.build_histories(cfg):
+        name = "cost x0=%s" % hist.x0.tolist()
         est, traj = sim_mod.cost_to_go(sys_, weight, hist, T=cfg.simulation.T,
                                        dt=cfg.simulation.dt,
                                        tail_tol=tol["tail"])
         if first_traj is None:
             first_traj = traj
-        predicted = float(x0 @ P0 @ x0)
+        predicted = float(hist.x0 @ P0 @ hist.x0)
         if not est.decaying:
             ok = False
-            checks.append({"check": "cost x0=%s" % vec, "value": est.value,
+            checks.append({"check": name, "value": est.value,
                            "bound": None, "pass": False,
                            "note": "cost integrand is not decaying"})
             continue
@@ -259,7 +257,7 @@ def cmd_validate(args):
         bound = 1e-3 * max(1.0, abs(predicted))
         passed = diff <= bound
         ok = ok and passed
-        checks.append({"check": "cost x0=%s" % vec, "value": diff,
+        checks.append({"check": name, "value": diff,
                        "bound": bound, "pass": bool(passed),
                        "simulated": est.value, "predicted": predicted})
 

@@ -34,13 +34,15 @@ def integrate(f, a, b, tol=1e-10, order=10, panels=4, max_panels=512):
 
     Stops when doubling the panel count changes the result by less than
     ``tol * max(1, |result|)`` in the max-abs norm. Raises ``RuntimeError``
-    if ``max_panels`` is reached without convergence.
+    naming the interval, the panels reached and the last change if
+    ``max_panels`` is reached without convergence.
     """
     if b == a:
         probe = np.asarray(f(a), dtype=float)
         return np.zeros_like(probe)
     coarse = fixed_quad(f, a, b, panels, order)
-    while panels <= max_panels:
+    err = np.inf
+    while panels < max_panels:
         panels *= 2
         fine = fixed_quad(f, a, b, panels, order)
         err = np.max(np.abs(fine - coarse))
@@ -48,6 +50,5 @@ def integrate(f, a, b, tol=1e-10, order=10, panels=4, max_panels=512):
         if err < tol * scale:
             return fine
         coarse = fine
-    raise RuntimeError(
-        "quadrature did not converge to tol=%g within %d panels" % (tol, max_panels)
-    )
+    raise RuntimeError("quadrature on [%g, %g] did not converge: last change "
+                       "%.3g at %d panels, tol=%g" % (a, b, err, panels, tol))

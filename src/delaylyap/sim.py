@@ -18,6 +18,11 @@ reads during the first delay interval take the history's value, with the
 left limit used at the seam; later reads come from the computed record,
 interpolated with cubic Hermite segments built from the stored stage
 derivatives.
+
+The oracles :func:`cost_to_go` and :func:`oracle_P` share one horizon
+loop (Simpson's rule plus an exponential tail, the horizon doubled up to
+``MAX_DOUBLINGS`` times); :func:`oracle_P` serves a sequence of lags from
+one fundamental-matrix run per horizon.
 """
 
 import math
@@ -33,6 +38,8 @@ from .quadrature import integrate
 POINT_MASS = "point_mass"
 SAMPLES = "samples"
 FUNDAMENTAL = "fundamental"
+
+MAX_DOUBLINGS = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,10 +75,9 @@ class HistorySpec:
             raise ValueError("history sample times must be strictly increasing")
         if thetas[-1] != 0.0:
             raise ValueError("history samples must end at theta = 0")
-        if values.shape != (thetas.size,) and values.shape[0] != thetas.size:
-            raise ValueError("values must provide one row per sample time")
-        if values.ndim == 1:
-            values = values[:, None]
+        if values.ndim not in (1, 2) or values.shape[0] != thetas.size:
+            raise ValueError("values must have shape (k,) or (k, n), k = %d" % thetas.size)
+        values = values.reshape(thetas.size, -1)
         return cls(SAMPLES, values.shape[1], thetas=thetas, values=values)
 
     @classmethod
@@ -265,6 +271,7 @@ def simulate(sys, history, T, dt=None):
     Y[0] = history.convolution_state(sys)
 
     def rhs(x, y, xd):
+        xd = x if xd is None else xd
         dx = A0 @ x + Cd @ y + A1 @ xd
         dy = Bd @ x - Ad @ y - EBd @ xd
         return dx, dy
@@ -278,34 +285,24 @@ def simulate(sys, history, T, dt=None):
         x = X[k]
         y = Y[k]
         if h == 0:
-            # the delayed argument coincides with the current time
-            k1x, k1y = rhs(x, y, x)
-            x2 = x + 0.5 * dt * k1x
-            y2 = y + 0.5 * dt * k1y
-            k2x, k2y = rhs(x2, y2, x2)
-            x3 = x + 0.5 * dt * k2x
-            y3 = y + 0.5 * dt * k2y
-            k3x, k3y = rhs(x3, y3, x3)
-            x4 = x + dt * k3x
-            y4 = y + dt * k3y
-            k4x, k4y = rhs(x4, y4, x4)
+            # the delayed argument coincides with each stage's own state
+            xd_a = xd_m = xd_b = None
+        elif k >= m:
+            base = k - m
+            xd_a = X[base]
+            xd_b = X[base + 1]
+            xd_m = Trajectory._hermite(
+                X[base], X[base + 1], Xd0[base], Xd1[base], dt, 0.5
+            )
         else:
-            if k >= m:
-                base = k - m
-                xd_a = X[base]
-                xd_b = X[base + 1]
-                xd_m = Trajectory._hermite(
-                    X[base], X[base + 1], Xd0[base], Xd1[base], dt, 0.5
-                )
-            else:
-                theta = (k - m) * dt
-                xd_a = history_read(theta)
-                xd_m = history_read(theta + 0.5 * dt)
-                xd_b = history_read(theta + dt)
-            k1x, k1y = rhs(x, y, xd_a)
-            k2x, k2y = rhs(x + 0.5 * dt * k1x, y + 0.5 * dt * k1y, xd_m)
-            k3x, k3y = rhs(x + 0.5 * dt * k2x, y + 0.5 * dt * k2y, xd_m)
-            k4x, k4y = rhs(x + dt * k3x, y + dt * k3y, xd_b)
+            theta = (k - m) * dt
+            xd_a = history_read(theta)
+            xd_m = history_read(theta + 0.5 * dt)
+            xd_b = history_read(theta + dt)
+        k1x, k1y = rhs(x, y, xd_a)
+        k2x, k2y = rhs(x + 0.5 * dt * k1x, y + 0.5 * dt * k1y, xd_m)
+        k3x, k3y = rhs(x + 0.5 * dt * k2x, y + 0.5 * dt * k2y, xd_m)
+        k4x, k4y = rhs(x + dt * k3x, y + dt * k3y, xd_b)
         X[k + 1] = x + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
         Y[k + 1] = y + dt / 6.0 * (k1y + 2 * k2y + 2 * k3y + k4y)
         Xd0[k] = k1x
@@ -343,31 +340,64 @@ class CostEstimate:
     decaying: bool
 
 
-def _tail_fit(ts, gs):
-    """Exponential decay rate from the last tenth of the samples."""
-    count = max(10, (ts.size + 9) // 10)
-    count = min(count, ts.size)
-    t = ts[-count:]
-    g = gs[-count:]
-    peak = float(np.max(g))
-    if peak <= 1e-280:
-        return math.inf
-    mask = g > peak * 1e-12
-    if np.count_nonzero(mask) < 2:
-        return math.inf
-    slope = np.polyfit(t[mask], np.log(g[mask]), 1)[0]
-    return -float(slope)
+def _simpson_tail(ts, g):
+    """Simpson integral of the samples ``g`` along ``ts`` and the tail
+    ``g[-1] / rate``, the decay rate fitted to the max-abs magnitudes of
+    the last tenth; zero for a vanished integrand, infinite for one that
+    does not decay."""
+    size = np.abs(g).reshape(ts.size, -1).max(axis=1)
+    count = min(max(10, (ts.size + 9) // 10), ts.size)
+    t, s = ts[-count:], size[-count:]
+    mask = s > s.max() * 1e-12
+    rate = tail = math.inf
+    if s.max() > 1e-280 and np.count_nonzero(mask) > 1:
+        rate = -float(np.polyfit(t[mask], np.log(s[mask]), 1)[0])
+        if rate > 0:
+            tail = g[-1] / rate
+    elif s[-1] <= 1e-280:
+        tail = 0.0
+    return scipy.integrate.simpson(g, x=ts, axis=0), tail, rate
 
 
-def _grows(fits):
-    """Whether the last two horizons' tail fits, each ``(T, rate, final)``,
-    both show growth: a negative fitted rate on each, and a final magnitude
-    that rose from the shorter horizon to the longer one. A doubled horizon
-    then only grows the integrand further, so the doubling can stop."""
-    if len(fits) < 2:
-        return False
-    (_, rate0, final0), (_, rate1, final1) = fits[-2:]
-    return rate0 < 0 and rate1 < 0 and final1 > final0
+def _horizons(sys, T, run, tail_tol, count=1):
+    """``_simpson_tail`` of ``count`` integrands on horizons doubling from
+    ``T`` (default ``max(20, 20 h)``). ``run(T, pending)`` simulates once
+    to ``T`` and returns the sample times and the samples of each pending
+    integrand; each keeps its first result with a tail within ``tail_tol``.
+    Returns the values ``integral + tail`` and ``None``, or why one failed.
+    """
+    T = max(20.0, 20.0 * sys.h) if T is None else T
+    values = [None] * count
+    last = dict.fromkeys(range(count))  # pending index -> its previous fit
+    for _ in range(MAX_DOUBLINGS + 1):
+        ts, samples = run(T, list(last))
+        for i, g in zip(list(last), samples):
+            integral, tail, rate = _simpson_tail(ts, g)
+            if np.all(np.isfinite(tail)) and linalg.maxabs(tail) <= tail_tol:
+                values[i] = integral + tail
+                del last[i]
+                continue
+            prev, last[i] = last[i], (T, rate, linalg.maxabs(g[-1]))
+            # a fitted growth on two horizons, with the final magnitude
+            # rising, only grows further on a doubled one
+            if prev and prev[1] < 0 and rate < 0 and last[i][2] > prev[2]:
+                return values, ("grows: fitted rate %.3g at T=%g and %.3g at "
+                                "T=%g" % (-prev[1], prev[0], -rate, T))
+        if not last:
+            return values, None
+        T *= 2
+    return values, ("does not decay fast enough (tail above %g after %d "
+                    "horizon doublings)" % (tail_tol, MAX_DOUBLINGS))
+
+
+def _running_cost(traj, weight):
+    """Samples of the integrand ``x(t).T Q x(t)`` of a vector trajectory."""
+    if traj.xs.ndim != 2:
+        raise ValueError("cost is defined for vector trajectories only")
+    Q = weight.matrix
+    if Q.shape[0] != traj.xs.shape[1]:
+        raise ValueError("weight dimension does not match the trajectory")
+    return np.einsum("ki,ij,kj->k", traj.xs, Q, traj.xs)
 
 
 def cost_quadrature(traj, weight):
@@ -376,27 +406,13 @@ def cost_quadrature(traj, weight):
     Simpson's rule over the recorded grid plus an exponential-tail
     correction fitted to the final tenth of the samples.
     """
-    if traj.xs.ndim != 2:
-        raise ValueError("cost is defined for vector trajectories only")
-    Q = weight.matrix
-    if Q.shape[0] != traj.xs.shape[1]:
-        raise ValueError("weight dimension does not match the trajectory")
-    g = np.einsum("ki,ij,kj->k", traj.xs, Q, traj.xs)
-    integral = float(scipy.integrate.simpson(g, x=traj.ts))
-    rate = _tail_fit(traj.ts, np.abs(g))
-    if math.isinf(rate):
-        tail = 0.0
-    elif rate > 0:
-        tail = float(g[-1]) / rate
-    else:
-        tail = math.inf
-    value = integral + tail
+    integral, tail, rate = _simpson_tail(traj.ts, _running_cost(traj, weight))
+    integral, tail = float(integral), float(tail)
     decaying = math.isfinite(tail) and abs(tail) <= 0.1 * max(abs(integral), 1e-300)
-    return CostEstimate(value, integral, tail, rate, decaying)
+    return CostEstimate(integral + tail, integral, tail, rate, decaying)
 
 
-def cost_to_go(sys, weight, history, T=None, dt=None, tail_tol=1e-5,
-               max_doublings=8):
+def cost_to_go(sys, weight, history, T=None, dt=None, tail_tol=1e-5):
     """Simulate and integrate the cost, doubling the horizon until the
     tail correction drops below ``tail_tol``.
 
@@ -404,79 +420,63 @@ def cost_to_go(sys, weight, history, T=None, dt=None, tail_tol=1e-5,
     The doubling also stops once two consecutive horizons show a growing
     integrand; the estimate returned then is not ``decaying``.
     """
-    if T is None:
-        T = max(20.0, 20.0 * sys.h)
-    est = None
-    traj = None
-    fits = []
-    for _ in range(max_doublings + 1):
-        traj = simulate(sys, history, T, dt=dt)
-        est = cost_quadrature(traj, weight)
-        if math.isfinite(est.tail) and abs(est.tail) <= tail_tol:
-            break
-        x = traj.xs[-1]
-        fits.append((T, est.rate, abs(float(x @ weight.matrix @ x))))
-        if _grows(fits):
-            break
-        T *= 2
-    return est, traj
+    runs = []
+
+    def run(T, pending):
+        runs.append(simulate(sys, history, T, dt=dt))
+        return runs[-1].ts, [_running_cost(runs[-1], weight)]
+
+    _horizons(sys, T, run, tail_tol)
+    return cost_quadrature(runs[-1], weight), runs[-1]
 
 
-def oracle_P(sys, weight, tau, T=None, dt=None, tail_tol=1e-5, max_doublings=8):
+def oracle_P(sys, weight, tau, T=None, dt=None, tail_tol=1e-5):
     """Delay Lyapunov matrix by direct quadrature of the defining integral.
 
     Integrates ``Phi(t).T Q Phi(t + tau)`` over ``[0, T]`` with Simpson's
     rule on the simulation grid, ``Phi`` being the fundamental matrix,
-    then adds an exponential-tail correction. The horizon doubles until
-    the tail is below ``tail_tol``; a system whose fundamental matrix does
-    not decay makes this fail with ``RuntimeError``, raised as soon as two
-    consecutive horizons fit a growing integrand.
+    then adds an exponential-tail correction. ``tau`` is one lag, giving
+    ``(n, n)``, or a 1-d sequence, giving ``(k, n, n)``; a negative lag
+    gives the transpose of its mirror. The lags share one fundamental-
+    matrix run per horizon, which doubles until each lag's tail is below
+    ``tail_tol``; a system whose fundamental matrix does not decay makes
+    this fail with ``RuntimeError``, raised as soon as two consecutive
+    horizons fit a growing integrand.
 
     This is deliberately independent of the boundary-value construction
     and serves as its cross-check.
     """
-    tau = float(tau)
-    if tau < 0:
-        return oracle_P(sys, weight, -tau, T=T, dt=dt, tail_tol=tail_tol,
-                        max_doublings=max_doublings).T
-    if T is None:
-        T = max(20.0, 20.0 * sys.h)
+    taus = np.atleast_1d(np.asarray(tau, dtype=float))
+    if taus.ndim != 1 or taus.size == 0:
+        raise ValueError("tau must be a lag or a nonempty 1-d sequence of lags")
+    lags = np.abs(taus)
     Q = weight.matrix
     if Q.shape[0] != sys.n:
         raise ValueError("weight dimension does not match the system")
     if dt is None:
         dt = sys.h / 64 if sys.h > 0 else 1.0 / 64
-    fits = []
-    for attempt in range(max_doublings + 1):
+
+    def run(T, pending):
         # margin keeps the shifted reads t + tau inside the record
-        traj = fundamental_matrix(sys, T + tau + 2 * dt, dt=dt)
+        traj = fundamental_matrix(sys, T + lags[pending].max() + 2 * dt, dt=dt)
         kT = int(round(T / traj.dt))
         ts = traj.ts[: kT + 1]
-        Phi = traj.xs[: kT + 1]
-        shift = tau / traj.dt
-        if abs(shift - round(shift)) < 1e-9:
-            Phis = traj.xs[int(round(shift)): int(round(shift)) + kT + 1]
-        else:
-            Phis = np.array([traj.x_at(t + tau) for t in ts])
-        M = np.einsum("kji,jl,klm->kim", Phi, Q, Phis)
-        integral = scipy.integrate.simpson(M, x=ts, axis=0)
-        rate = _tail_fit(ts, np.array([linalg.maxabs(Mk) for Mk in M]))
-        last = linalg.maxabs(M[-1])
-        if math.isinf(rate) and last <= 1e-280:
-            return integral
-        if rate > 0 and last / rate <= tail_tol:
-            return integral + M[-1] / rate
-        fits.append((T, rate, last))
-        if _grows(fits):
-            raise RuntimeError(
-                "fundamental matrix grows: fitted rate %.3g at T=%g and %.3g at T=%g"
-                % (-fits[-2][1], fits[-2][0], -fits[-1][1], fits[-1][0])
-            )
-        T *= 2
-    raise RuntimeError(
-        "fundamental matrix does not decay fast enough for the quadrature "
-        "oracle (tail above %g after %d horizon doublings)" % (tail_tol, max_doublings)
-    )
+        samples = []
+        for lag in lags[pending]:
+            j = int(round(lag / traj.dt))
+            if abs(lag / traj.dt - j) < 1e-9:
+                Phis = traj.xs[j: j + kT + 1]
+            else:
+                Phis = np.array([traj.x_at(t + lag) for t in ts])
+            samples.append(np.einsum("kji,jl,klm->kim", traj.xs[: kT + 1], Q, Phis))
+        return ts, samples
+
+    values, failure = _horizons(sys, T, run, tail_tol, taus.size)
+    if failure is not None:
+        raise RuntimeError("fundamental matrix " + failure)
+    P = np.array(values)
+    P[taus < 0] = P[taus < 0].transpose(0, 2, 1)
+    return P if np.ndim(tau) else P[0]
 
 
 def equation_residual(sys, traj, times=None, quad_tol=1e-8):

@@ -37,9 +37,17 @@ def test_integrate_empty_interval():
 
 
 def test_integrate_reports_nonconvergence():
-    with pytest.raises(RuntimeError):
-        quadrature.integrate(lambda x: x ** -0.5, 0.0, 1.0, tol=1e-14,
-                             max_panels=64)
+    # rules of 4, 8, ..., 64 panels of 10 nodes, none past max_panels
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x ** -0.5
+
+    with pytest.raises(RuntimeError,
+                       match=r"on \[0, 1\].*last change .* at 64 panels, tol=1e-14"):
+        quadrature.integrate(f, 0.0, 1.0, tol=1e-14, max_panels=64)
+    assert len(calls) == 1240
 
 
 def test_panel_weights_sum_to_length():

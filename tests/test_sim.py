@@ -99,6 +99,10 @@ class TestHistorySpec:
             HistorySpec.from_samples([0.0, -1.0], [[1.0], [2.0]])
         with pytest.raises(ValueError):
             HistorySpec.from_samples([-1.0, -0.5], [[1.0], [2.0]])
+        # values must be (k,) or (k, n): neither a scalar nor a 3-d stack
+        for values in (1.0, np.zeros((3, 2, 2))):
+            with pytest.raises(ValueError, match=r"\(k,\) or \(k, n\)"):
+                HistorySpec.from_samples([-1.0, -0.5, 0.0], values)
 
     def test_convolution_state_closed_form(self):
         # scalar kernel: y(0) = c (1 - e^-(a+b) h) / (a + b) for phi = e^(a th)
@@ -332,6 +336,20 @@ class TestCost:
         assert abs(est.value - predicted) <= 1e-3 * max(1.0, abs(predicted))
 
 
+@pytest.fixture
+def fm_runs(monkeypatch):
+    """Horizons of the ``sim.fundamental_matrix`` runs made during a test."""
+    runs = []
+    original = sim.fundamental_matrix
+
+    def counting(sys, T, dt=None):
+        runs.append(T)
+        return original(sys, T, dt=dt)
+
+    monkeypatch.setattr(sim, "fundamental_matrix", counting)
+    return runs
+
+
 class TestOracleP:
     def test_delay_free_closed_form(self):
         sys, weight = scalar_decay(a0=-1.0, h=1.0, q=1.0)
@@ -348,6 +366,49 @@ class TestOracleP:
         sys, weight = benchmark_system()
         assert np.array_equal(oracle_P(sys, weight, -0.5),
                               oracle_P(sys, weight, 0.5).T)
+        P = oracle_P(sys, weight, [0.5, -0.5, -0.3, 0.3])
+        assert np.array_equal(P[1], P[0].T)
+        assert np.array_equal(P[2], P[3].T)
+
+    @pytest.mark.parametrize("case", ["benchmark", "scalar_T5.25"])
+    def test_sequence_is_bitwise_a_stack_of_scalar_calls(self, case, fm_runs):
+        # one fundamental-matrix run per horizon serves every lag; on the
+        # short scalar horizon the lags 0 and 0.25 need a second horizon
+        # while the others settle on the first
+        if case == "benchmark":
+            (sys, weight), T, per_lag = benchmark_system(), None, [2] * 5
+        else:
+            (sys, weight), T, per_lag = scalar_decay(-1.0, 1.0, 1.0), 5.25, [2, 2, 1, 1, 1]
+        taus = [0.0, 0.25, 0.5, 0.75, 1.0]
+        stacked, counts = [], []
+        for tau in taus:
+            fm_runs.clear()
+            stacked.append(oracle_P(sys, weight, tau, T=T))
+            counts.append(len(fm_runs))
+        fm_runs.clear()
+        P = oracle_P(sys, weight, taus, T=T)
+        assert counts == per_lag
+        assert len(fm_runs) == 2
+        assert stacked[0].shape == (sys.n, sys.n)
+        assert P.shape == (5, sys.n, sys.n)
+        assert P.tobytes() == np.stack(stacked).tobytes()
+
+    def test_validate_runs_the_fundamental_matrix_once_per_horizon(
+            self, tmp_path, fm_runs):
+        # the five lags of validate share the runs at T = 20 and T = 40
+        from delaylyap.cli import main
+
+        config = Path(__file__).resolve().parents[1] / "demos/configs/example1.json"
+        rc = main(["validate", "--config", str(config), "--out", str(tmp_path),
+                   "--quiet"])
+        assert rc == 0
+        assert len(fm_runs) == 2
+
+    def test_lag_shape_validation(self):
+        sys, weight = benchmark_system()
+        for tau in ([], [[0.5]]):
+            with pytest.raises(ValueError, match="1-d sequence"):
+                oracle_P(sys, weight, tau)
 
     def test_zero_weight(self):
         sys, _ = benchmark_system()
@@ -366,7 +427,7 @@ class TestOracleP:
         sys = TimeDelaySystem([[0.1]], [[0.0]], Ad, Bd, Cd, 1.0)
         with pytest.raises((RuntimeError, OverflowError)):
             with np.errstate(over="ignore", invalid="ignore"):
-                oracle_P(sys, Weight([[1.0]]), 0.0, max_doublings=2)
+                oracle_P(sys, Weight([[1.0]]), 0.0)
 
     def test_growth_stops_after_two_horizons(self, monkeypatch):
         # x' = x: both the oracle and the cost see growth at T = 20 and
@@ -384,9 +445,11 @@ class TestOracleP:
 
         monkeypatch.setattr(sim, "fundamental_matrix",
                             counting(sim.fundamental_matrix))
-        with pytest.raises(RuntimeError, match="grows.*T=20.*T=40"):
-            oracle_P(sys, weight, 0.0)
-        assert runs == ["fundamental_matrix"] * 2
+        for tau in (0.0, [0.0, 0.5, 1.0]):
+            runs.clear()
+            with pytest.raises(RuntimeError, match="grows.*T=20.*T=40"):
+                oracle_P(sys, weight, tau)
+            assert runs == ["fundamental_matrix"] * 2
 
         runs.clear()
         monkeypatch.setattr(sim, "simulate", counting(sim.simulate))
