@@ -156,7 +156,7 @@ def cmd_solve(args):
     cfg = _load(args)
     sys_, weight, op, sol, elapsed = _solve_from_config(cfg)
     taus = config_mod.tau_grid(cfg, sys_)
-    mats = [solver.P_at(sol, t) for t in taus]
+    mats = solver.P_at(sol, taus)
     residuals = solver.residual_report(sol, quad_tol=cfg.tolerances["quadrature"])
     out = _outdir(args)
     _write_p_csv(out / "P_tau.csv", taus, mats)
@@ -229,8 +229,8 @@ def cmd_validate(args):
     taus = [f * h for f in (0.0, 0.25, 0.5, 0.75, 1.0)] if h > 0 else [0.0]
     oracle = sim_mod.oracle_P(sys_, weight, taus, T=cfg.simulation.T,
                               dt=cfg.simulation.dt, tail_tol=tol["tail"])
-    for tau, Po in zip(taus, oracle):
-        diff = maxabs(solver.P_at(sol, tau) - Po)
+    for tau, P, Po in zip(taus, solver.P_at(sol, taus), oracle):
+        diff = maxabs(P - Po)
         bound = 1e-3 * max(1.0, maxabs(Po))
         passed = diff <= bound
         ok = ok and passed
@@ -262,8 +262,7 @@ def cmd_validate(args):
                        "simulated": est.value, "predicted": predicted})
 
     taus_grid = config_mod.tau_grid(cfg, sys_)
-    _write_p_csv(out / "P_tau.csv", taus_grid,
-                 [solver.P_at(sol, t) for t in taus_grid])
+    _write_p_csv(out / "P_tau.csv", taus_grid, solver.P_at(sol, taus_grid))
     if first_traj is not None:
         first_traj.to_csv(out / "trajectory.csv")
     payload = {
@@ -300,7 +299,7 @@ def cmd_sample(args):
             raise config_mod.ConfigError("--tau lists no values")
     else:
         taus = list(config_mod.tau_grid(cfg, sys_))
-    mats = [solver.P_at(sol, t) for t in taus]
+    mats = solver.P_at(sol, taus)
     for line in _p_csv_lines(taus, mats):
         print(line)
     if args.out:

@@ -144,14 +144,16 @@ class ExpmTable:
         return self.terms.shape[0]
 
     def __call__(self, t):
-        """``expm(M t) X`` for ``t`` in ``[0, T]``."""
-        t = float(t)
+        """``expm(M t) X`` for ``t`` in ``[0, T]``. An array of ``t`` gives
+        the values stacked on its leading axes."""
+        t = np.asarray(t, dtype=float)
         slack = 1e-9 * max(1.0, self.T)
-        if not (-slack <= t <= self.T + slack):
+        if not np.all((-slack <= t) & (t <= self.T + slack)):
             raise ValueError("t=%r outside [0, %g]" % (t, self.T))
-        j = min(self.nodes - 1, max(0, round(t / self.delta)))
-        s = t - j * self.delta
-        return (s ** self._exponents @ self.terms[j]).reshape(self.shape)
+        j = np.clip(np.rint(t / self.delta), 0, self.nodes - 1).astype(int).ravel()
+        s = t.ravel() - j * self.delta
+        out = np.einsum("ik,ikm->im", s[:, None] ** self._exponents, self.terms[j])
+        return out.reshape(t.shape + self.shape)
 
 
 def smallest_singular_value(A):

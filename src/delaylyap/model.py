@@ -126,15 +126,21 @@ def validate(sys):
 def kernel_at(sys, theta):
     """Evaluate the distributed-delay kernel ``Cd expm(Ad theta) Bd``.
 
-    ``theta`` must lie in ``[-h, 0]`` up to a small slack.
+    ``theta`` must lie in ``[-h, 0]`` up to a small slack. A scalar gives
+    ``(n, n)``; an array gives the kernels stacked on its axes, one
+    exponential per point.
     """
+    theta = np.asarray(theta, dtype=float)
     slack = 1e-12 * max(1.0, sys.h)
-    if theta < -sys.h - slack or theta > slack:
+    bad = ~((theta >= -sys.h - slack) & (theta <= slack))
+    if np.any(bad):
         raise ValueError(
-            "kernel argument %g outside [-h, 0] with h=%g" % (theta, sys.h)
+            "kernel argument %g outside [-h, 0] with h=%g"
+            % (theta[bad].flat[0], sys.h)
         )
-    theta = min(0.0, max(-sys.h, theta))
-    return sys.Cd @ linalg.expm(sys.Ad, theta) @ sys.Bd
+    theta = np.clip(theta, -sys.h, 0.0)
+    E = np.array([linalg.expm(sys.Ad, th) for th in theta.ravel()])
+    return sys.Cd @ E.reshape(theta.shape + sys.Ad.shape) @ sys.Bd
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,4 +1,9 @@
-"""Composite Gauss-Legendre quadrature for scalar and matrix integrands."""
+"""Composite Gauss-Legendre quadrature for scalar and matrix integrands.
+
+An integrand takes the 1-d array of a rule's nodes and returns its values
+stacked on a leading axis: shape ``(k,)`` for a scalar integrand, ``(k,
+...)`` for an array-valued one.
+"""
 
 import numpy as np
 
@@ -17,16 +22,16 @@ def panel_nodes(a, b, panels, order):
 
 
 def fixed_quad(f, a, b, panels=8, order=10):
-    """Integrate ``f`` over ``[a, b]`` with a fixed composite rule.
-
-    ``f`` maps a scalar to a scalar or ndarray; all values must share a shape.
-    """
+    """Integrate ``f`` over ``[a, b]`` with a fixed composite rule, calling
+    ``f`` once with all of the rule's nodes."""
     pts, wts = panel_nodes(a, b, panels, order)
-    total = None
-    for p, w in zip(pts, wts):
-        val = w * np.asarray(f(p), dtype=float)
-        total = val if total is None else total + val
-    return total
+    F = np.asarray(f(pts), dtype=float)
+    if F.shape[:1] != pts.shape:
+        raise ValueError("integrand returned shape %s for %d nodes"
+                         % (F.shape, pts.size))
+    terms = wts.reshape(wts.shape + (1,) * (F.ndim - 1)) * F
+    # a running sum adds the nodes in order, the same for every value shape
+    return np.cumsum(terms, axis=0)[-1]
 
 
 def integrate(f, a, b, tol=1e-10, order=10, panels=4, max_panels=512):
@@ -38,8 +43,7 @@ def integrate(f, a, b, tol=1e-10, order=10, panels=4, max_panels=512):
     ``max_panels`` is reached without convergence.
     """
     if b == a:
-        probe = np.asarray(f(a), dtype=float)
-        return np.zeros_like(probe)
+        return np.zeros_like(np.asarray(f(np.array([a])), dtype=float)[0])
     coarse = fixed_quad(f, a, b, panels, order)
     err = np.inf
     while panels < max_panels:

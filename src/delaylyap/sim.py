@@ -27,12 +27,13 @@ one fundamental-matrix run per horizon.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.integrate
-import scipy.interpolate
 
 from . import linalg
+from .model import kernel_at
 from .quadrature import integrate
 
 POINT_MASS = "point_mass"
@@ -90,7 +91,10 @@ class HistorySpec:
     def columns(self):
         return self.dim if self.kind == FUNDAMENTAL else 1
 
+    @cached_property
     def _spline(self):
+        import scipy.interpolate  # only sampled histories need it
+
         return scipy.interpolate.CubicSpline(
             self.thetas, self.values, axis=0, bc_type="natural"
         )
@@ -101,14 +105,14 @@ class HistorySpec:
             return self.x0[:, None].copy()
         if self.kind == FUNDAMENTAL:
             return np.eye(self.dim)
-        return self._spline()(0.0)[:, None]
+        return self._spline(0.0)[:, None]
 
     def value(self, theta):
         """History value for ``theta < 0``, shape ``(n, columns)``."""
         if self.kind in (POINT_MASS, FUNDAMENTAL):
             return np.zeros((self.dim, self.columns))
         theta = max(theta, float(self.thetas[0]))
-        return self._spline()(theta)[:, None]
+        return self._spline(theta)[:, None]
 
     def seam_value(self):
         """Value used when a delayed read lands exactly at time zero.
@@ -117,7 +121,7 @@ class HistorySpec:
         from the left take the history limit, not the post-jump state.
         """
         if self.kind == SAMPLES:
-            return self._spline()(0.0)[:, None]
+            return self._spline(0.0)[:, None]
         return np.zeros((self.dim, self.columns))
 
     def convolution_state(self, sys):
@@ -125,10 +129,10 @@ class HistorySpec:
         nd = sys.internal_dim
         if self.kind in (POINT_MASS, FUNDAMENTAL) or sys.h == 0:
             return np.zeros((nd, self.columns))
-        spline = self._spline()
 
         def f(theta):
-            return linalg.expm(sys.Ad, theta) @ sys.Bd @ spline(theta)[:, None]
+            E = np.array([linalg.expm(sys.Ad, th) for th in theta])
+            return E @ sys.Bd @ self._spline(theta)[..., None]
 
         return integrate(f, -sys.h, 0.0, tol=1e-12)
 
@@ -157,14 +161,6 @@ class Trajectory:
     def steps(self):
         return self.ts.size - 1
 
-    def _segment(self, t):
-        T = self.ts[-1]
-        if t < -1e-12 * max(1.0, T) or t > T * (1 + 1e-12) + 1e-12:
-            raise ValueError("time %g outside the recorded range [0, %g]" % (t, T))
-        j = int(min(self.steps - 1, max(0, math.floor(t / self.dt))))
-        s = (t - self.ts[j]) / self.dt
-        return j, min(1.0, max(0.0, s))
-
     @staticmethod
     def _hermite(p0, p1, d0, d1, dt, s):
         s2 = s * s
@@ -172,19 +168,29 @@ class Trajectory:
         return ((2 * s3 - 3 * s2 + 1) * p0 + (-2 * s3 + 3 * s2) * p1
                 + dt * ((s3 - 2 * s2 + s) * d0 + (s3 - s2) * d1))
 
+    def _read(self, values, d_start, d_end, t):
+        """Record ``values`` at the times ``t``, stacked on the axes of
+        ``t``: the recorded value on a node, the cubic Hermite segment of
+        the step between nodes."""
+        t = np.asarray(t, dtype=float)
+        T = self.ts[-1]
+        bad = ~((t >= -1e-12 * max(1.0, T)) & (t <= T * (1 + 1e-12) + 1e-12))
+        if np.any(bad):
+            raise ValueError("time %g outside the recorded range [0, %g]"
+                             % (t[bad].flat[0], T))
+        j = np.clip(np.floor(t / self.dt), 0, self.steps - 1).astype(int)
+        s = np.clip((t - self.ts[j]) / self.dt, 0.0, 1.0)
+        s = s.reshape(s.shape + (1,) * (values.ndim - 1))
+        return np.where(s == 0.0, values[j], self._hermite(
+            values[j], values[j + 1], d_start[j], d_end[j], self.dt, s))
+
     def x_at(self, t):
-        j, s = self._segment(t)
-        if s == 0.0:
-            return self.xs[j].copy()
-        return self._hermite(self.xs[j], self.xs[j + 1],
-                             self.xd_start[j], self.xd_end[j], self.dt, s)
+        """State at the time or times ``t``."""
+        return self._read(self.xs, self.xd_start, self.xd_end, t)
 
     def y_at(self, t):
-        j, s = self._segment(t)
-        if s == 0.0:
-            return self.ys[j].copy()
-        return self._hermite(self.ys[j], self.ys[j + 1],
-                             self.yd_start[j], self.yd_end[j], self.dt, s)
+        """Internal variable at the time or times ``t``."""
+        return self._read(self.ys, self.yd_start, self.yd_end, t)
 
     def to_csv(self, path):
         """Write ``t, x_1..x_n, y_1..y_nd`` rows with 17 significant digits.
@@ -467,7 +473,7 @@ def oracle_P(sys, weight, tau, T=None, dt=None, tail_tol=1e-5):
             if abs(lag / traj.dt - j) < 1e-9:
                 Phis = traj.xs[j: j + kT + 1]
             else:
-                Phis = np.array([traj.x_at(t + lag) for t in ts])
+                Phis = traj.x_at(ts + lag)
             samples.append(np.einsum("kji,jl,klm->kim", traj.xs[: kT + 1], Q, Phis))
         return ts, samples
 
@@ -537,8 +543,8 @@ def equation_residual(sys, traj, times=None, quad_tol=1e-8):
         delayed = traj.xs[i - int(round(h / dt))] if h > 0 else traj.xs[i]
 
         def f(theta):
-            K_th = sys.Cd @ linalg.expm(sys.Ad, theta) @ sys.Bd
-            return K_th @ traj.x_at(t + theta)
+            return np.einsum("kij,kj...->ki...", kernel_at(sys, theta),
+                             traj.x_at(t + theta))
 
         conv = np.zeros_like(traj.xs[i])
         if h > 0:

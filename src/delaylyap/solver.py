@@ -21,9 +21,17 @@ matrix, and of the kernel, that :func:`P_at` and the residual checks use
 is sampled from that table or from the kernel's table of ``expm(-Ad s)``.
 :func:`evaluate_omega` keeps the direct exponential as a reference.
 
+Evaluation takes arrays: :func:`P_at`, the kernel and the stacked state
+accept an array of points and return the values stacked on its axes, so
+each quadrature rule of a residual check, whose integrand receives all of
+the rule's nodes at once, is one read of each table.
+
 ``P`` on ``[-h, 0)`` is defined by the reflection ``P(-tau) = P(tau).T``,
 which leaves a derivative kink at ``tau = 0``; the residual checks below
 keep their difference stencils and quadrature panels on one side of it.
+The stencils difference the served values rather than taking the table's
+Taylor derivative, so near the ends they compare the table against the
+boundary states it was propagated from.
 """
 
 from dataclasses import dataclass
@@ -48,16 +56,6 @@ def _layout(n, nd):
     return shapes, tuple(accumulate((r * c for r, c in shapes), initial=0))
 
 
-def block_sizes(n, nd):
-    """Lengths of the six vectorized blocks in the stacked state."""
-    return [r * c for r, c in _layout(n, nd)[0]]
-
-
-def block_offsets(n, nd):
-    """Start of each block in the stacked state, then its length ``ns``."""
-    return list(_layout(n, nd)[1])
-
-
 class OmegaBlocks(NamedTuple):
     """The stacked auxiliary state as its six matrices, in block order.
 
@@ -76,16 +74,17 @@ class OmegaBlocks(NamedTuple):
     @classmethod
     def from_stacked(cls, stacked, n, nd):
         """Split a stacked state of a system with state dimension ``n``
-        and kernel dimension ``nd``; a wrong length raises ``ValueError``."""
+        and kernel dimension ``nd``. States stacked along leading axes,
+        shape ``(..., ns)``, give blocks of shape ``(..., r, c)``; a wrong
+        length raises ``ValueError``."""
         shapes, off = _layout(n, nd)
         v = np.asarray(stacked, dtype=float)
-        if v.shape != (off[-1],):
-            raise ValueError(
-                "stacked state has shape %s, expected (%d,)" % (v.shape, off[-1])
-            )
+        if v.shape[-1:] != (off[-1],):
+            raise ValueError("stacked state has shape %s, expected (..., %d)"
+                             % (v.shape, off[-1]))
         # the transpose of a row-major (cols, rows) view is the column-major
         # (rows, cols) block that ``vec`` stacked, without a copy
-        return cls(*[v[a:b].reshape(c, r).T
+        return cls(*[v[..., a:b].reshape(v.shape[:-1] + (c, r)).swapaxes(-1, -2)
                      for a, b, (r, c) in zip(off, off[1:], shapes)])
 
     @property
@@ -141,8 +140,7 @@ def assemble(sys):
     In = np.eye(n)
     Ead = Cd @ linalg.expm(Ad, -sys.h)
 
-    sizes = block_sizes(n, nd)
-    off = block_offsets(n, nd)
+    off = _layout(n, nd)[1]
     ns = off[-1]
 
     def place(M, i, j, blk):
@@ -171,18 +169,18 @@ def assemble(sys):
     place(F1, 0, 1, np.kron(A1.T, In))
     place(F1, 0, 2, np.kron(Bd.T, In))
     place(F1, 0, 3, np.kron(Bd.T, In))
-    place(F1, 1, 0, np.eye(sizes[0]))
-    place(F1, 2, 2, np.eye(sizes[2]))
-    place(F1, 3, 4, np.eye(sizes[4]))
+    place(F1, 1, 0, np.eye(n * n))
+    place(F1, 2, 2, np.eye(n * nd))
+    place(F1, 3, 4, np.eye(nd * n))
 
     F2 = np.zeros((ns, ns))
     place(F2, 0, 0, np.kron(In, A1.T))
     place(F2, 0, 1, np.kron(In, A0.T))
     place(F2, 0, 4, np.kron(In, Bd.T))
     place(F2, 0, 5, np.kron(In, Bd.T))
-    place(F2, 1, 1, -np.eye(sizes[1]))
-    place(F2, 4, 3, np.eye(sizes[3]))
-    place(F2, 5, 5, np.eye(sizes[5]))
+    place(F2, 1, 1, -np.eye(n * n))
+    place(F2, 4, 3, np.eye(n * nd))
+    place(F2, 5, 5, np.eye(nd * n))
 
     expm_Eh = linalg.expm(E, sys.h)
     return AuxOperator(sys, E, F1, F2, expm_Eh, F1 + F2 @ expm_Eh, ns)
@@ -207,9 +205,15 @@ class LyapunovSolution:
     spectrum: spectrum_mod.SpectrumReport
 
     @cached_property
+    def _ends(self):
+        """The stacked states ``omega(0)`` and ``omega(h)``, shape ``(2, ns)``."""
+        stacked = self.omega0.stacked
+        return np.stack([stacked, self.op.expm_Eh @ stacked])
+
+    @cached_property
     def omega_h(self):
-        return OmegaBlocks.from_stacked(self.op.expm_Eh @ self.omega0.stacked,
-                                        self.op.n, self.op.internal_dim)
+        return OmegaBlocks.from_stacked(self._ends[1], self.op.n,
+                                        self.op.internal_dim)
 
     @cached_property
     def omega_table(self):
@@ -280,28 +284,36 @@ def evaluate_omega(sol, tau):
 
 
 def _omega(sol, t):
-    """Stacked state at ``t`` in ``[0, h]``: the boundary values at the
-    ends, the solution's table inside."""
-    if t == 0:
-        return sol.omega0
-    if t == sol.system.h:
-        return sol.omega_h
-    return OmegaBlocks.from_stacked(sol.omega_table(t), sol.op.n,
-                                    sol.op.internal_dim)
+    """Stacked state at the points ``t`` of ``[0, h]``, as blocks of shape
+    ``t.shape + (r, c)``: the boundary values at the ends, one read of the
+    solution's table for the points inside."""
+    t = np.asarray(t, dtype=float)
+    moved = t != 0
+    # omega(0) where t = 0, omega(h) elsewhere until the table fills the inside
+    stacked = sol._ends[moved.astype(int)]
+    inside = moved & (t != sol.system.h)
+    if inside.any():
+        stacked[inside] = sol.omega_table(t[inside])
+    return OmegaBlocks.from_stacked(stacked, sol.op.n, sol.op.internal_dim)
 
 
 def _kernel_factor(sol, theta):
-    """``Cd expm(Ad theta)`` for ``theta`` in ``[-h, 0]``."""
-    return sol.system.Cd @ sol.kernel_table(-theta)
+    """``Cd expm(Ad theta)`` at the points ``theta`` of ``[-h, 0]``."""
+    return sol.system.Cd @ sol.kernel_table(-np.asarray(theta))
 
 
 def _kernel(sol, theta):
-    """The kernel ``Cd expm(Ad theta) Bd`` for ``theta`` in ``[-h, 0]``."""
+    """The kernel ``Cd expm(Ad theta) Bd`` at the points ``theta`` of
+    ``[-h, 0]``."""
     return _kernel_factor(sol, theta) @ sol.system.Bd
 
 
 def P_at(sol, tau):
     """Delay Lyapunov matrix at ``tau``, for ``|tau| <= h``.
+
+    A scalar ``tau`` gives ``(n, n)``; an array of lags gives the matrices
+    stacked on its axes, shape ``tau.shape + (n, n)``, from one read of
+    the solution's table.
 
     Values on ``[0, h]`` average block 1 of ``omega(tau)`` and the
     transpose of block 2 of ``omega(h - tau)``; negative arguments use the
@@ -312,16 +324,26 @@ def P_at(sol, tau):
     instead of two ``ns x ns`` exponentials.
     """
     h = sol.system.h
-    tau = float(tau)
-    slack = 1e-9 * max(1.0, h)
-    if not np.isfinite(tau) or abs(tau) > h + slack:
-        raise ValueError("tau=%r outside [-h, h] with h=%g" % (tau, h))
-    tau = min(h, max(-h, tau))
-    if tau < 0:
-        return P_at(sol, -tau).T
-    o1 = _omega(sol, tau).omega1
-    o2 = _omega(sol, h - tau).omega2
-    return 0.5 * (o1 + o2.T)
+    tau = np.asarray(tau, dtype=float)
+    a = np.abs(tau)
+    bad = ~(a <= h + 1e-9 * max(1.0, h))
+    if bad.any():
+        raise ValueError("tau=%r outside [-h, h] with h=%g"
+                         % (float(tau[bad].flat[0]), h))
+    a = np.minimum(a, h)
+    om = _omega(sol, np.array([a, h - a]))
+    P = 0.5 * (om.omega1[0] + om.omega2[1].swapaxes(-1, -2))
+    return np.where((tau < 0)[..., None, None], P.swapaxes(-1, -2), P)
+
+
+def _grid(taus, h, points):
+    """Residual check points in ``[0, h]``, ``points`` evenly spaced ones
+    by default."""
+    taus = np.linspace(0.0, h, points) if taus is None else np.asarray(taus, dtype=float)
+    bad = ~((taus >= 0) & (taus <= h))
+    if bad.any():
+        raise ValueError("residual grid point %g outside [0, h]" % taus[bad][0])
+    return taus
 
 
 def residual_dde(sol, taus=None, quad_tol=1e-10):
@@ -331,38 +353,33 @@ def residual_dde(sol, taus=None, quad_tol=1e-10):
     (one-sided near both endpoints, keeping clear of the reflection kink)
     and the convolution term integrates the kernel against ``P``, with the
     quadrature split at the kink crossing. ``P`` and the kernel come from
-    the solution's tables, as in :func:`P_at`. Requires ``h > 0``.
+    the solution's tables, as in :func:`P_at`: every stencil point is read
+    in one call, and each quadrature rule in one more. Requires ``h > 0``.
     """
     sys = sol.system
     h = sys.h
     if h <= 0:
         raise ValueError("residual_dde needs h > 0")
-    if taus is None:
-        taus = np.linspace(0.0, h, 21)
+    taus = _grid(taus, h, 21)
     eps = 1e-6 * h
-    worst = 0.0
-    for tau in np.asarray(taus, dtype=float):
-        if tau < 0 or tau > h:
-            raise ValueError("residual grid point %g outside [0, h]" % tau)
-        if tau < 2 * eps:
-            dP = (-3 * P_at(sol, tau) + 4 * P_at(sol, tau + eps)
-                  - P_at(sol, tau + 2 * eps)) / (2 * eps)
-        elif tau > h - 2 * eps:
-            dP = (3 * P_at(sol, tau) - 4 * P_at(sol, tau - eps)
-                  + P_at(sol, tau - 2 * eps)) / (2 * eps)
-        else:
-            dP = (P_at(sol, tau + eps) - P_at(sol, tau - eps)) / (2 * eps)
-
+    # +1 forward, -1 backward, 0 central
+    side = np.where(taus < 2 * eps, 1.0, np.where(taus > h - 2 * eps, -1.0, 0.0))
+    near = np.where(side == 0, eps, side * eps)
+    far = np.where(side == 0, -eps, 2 * side * eps)
+    P, P_near, P_far, P_lag = P_at(sol, np.stack([taus, taus + near, taus + far,
+                                                  taus - h]))
+    side = side[:, None, None]
+    dP = np.where(side == 0, P_near - P_far,
+                  side * (-3 * P + 4 * P_near - P_far)) / (2 * eps)
+    conv = np.zeros_like(P)
+    for i, tau in enumerate(taus):
         def f(theta):
             return P_at(sol, tau + theta) @ _kernel(sol, theta)
 
-        conv = np.zeros((sys.n, sys.n))
         for lo, hi in ((-h, -tau), (-tau, 0.0)):
             if hi > lo:
-                conv = conv + integrate(f, lo, hi, tol=quad_tol)
-        rhs = P_at(sol, tau) @ sys.A0 + P_at(sol, tau - h) @ sys.A1 + conv
-        worst = max(worst, linalg.maxabs(dP - rhs))
-    return worst
+                conv[i] += integrate(f, lo, hi, tol=quad_tol)
+    return linalg.maxabs(dP - (P @ sys.A0 + P_lag @ sys.A1 + conv))
 
 
 def residual_algebraic(sol, quad_tol=1e-10):
@@ -370,12 +387,12 @@ def residual_algebraic(sol, quad_tol=1e-10):
     the weight."""
     sys = sol.system
     Q = sol.weight.matrix
-    P0 = P_at(sol, 0.0)
-    Ph = P_at(sol, sys.h)
+    P0, Ph = P_at(sol, [0.0, sys.h])
 
     def f(theta):
         K = _kernel(sol, theta)
-        return K.T @ P_at(sol, -theta) + P_at(sol, theta) @ K
+        P_minus, P_plus = P_at(sol, np.stack([-theta, theta]))
+        return K.swapaxes(-1, -2) @ P_minus + P_plus @ K
 
     if sys.h > 0:
         conv = integrate(f, -sys.h, 0.0, tol=quad_tol)
@@ -392,28 +409,28 @@ def residual_collapsed(sol, taus=None, quad_tol=1e-10):
     Each of blocks 3 to 6 equals a finite convolution of the kernel with
     one propagator block; evaluating those integrals by quadrature and
     comparing confirms the collapsed internal dynamics. Both sides sample
-    the solution's tables."""
+    the solution's tables, each quadrature rule in one read of each."""
     h = sol.system.h
-    if taus is None:
-        taus = np.linspace(0.0, h, 11)
+    taus = _grid(taus, h, 11)
+    om = _omega(sol, taus)
 
     def ker(theta):
         return _kernel_factor(sol, theta)
 
+    def ker_t(theta):
+        return ker(theta).swapaxes(-1, -2)
+
     worst = 0.0
-    for tau in np.asarray(taus, dtype=float):
-        if tau < 0 or tau > h:
-            raise ValueError("residual grid point %g outside [0, h]" % tau)
-        om = _omega(sol, tau)
+    for i, tau in enumerate(taus):
         pieces = [
-            (om.omega3, -tau, 0.0,
+            (om.omega3[i], -tau, 0.0,
              lambda th, t=tau: _omega(sol, t + th).omega1 @ ker(th)),
-            (om.omega4, -h, -tau,
+            (om.omega4[i], -h, -tau,
              lambda th, t=tau: _omega(sol, t + th + h).omega2 @ ker(th)),
-            (om.omega5, -h, -h + tau,
-             lambda th, t=tau: ker(th).T @ _omega(sol, t - th - h).omega1),
-            (om.omega6, -h + tau, 0.0,
-             lambda th, t=tau: ker(th).T @ _omega(sol, t - th).omega2),
+            (om.omega5[i], -h, -h + tau,
+             lambda th, t=tau: ker_t(th) @ _omega(sol, t - th - h).omega1),
+            (om.omega6[i], -h + tau, 0.0,
+             lambda th, t=tau: ker_t(th) @ _omega(sol, t - th).omega2),
         ]
         for target, lo, hi, f in pieces:
             if hi > lo:
@@ -428,20 +445,17 @@ def flip_residuals(sol, taus=None):
     """Defects of the reversal symmetries relating the blocks across the
     interval, plus the symmetry of block 1 at the origin."""
     h = sol.system.h
-    if taus is None:
-        taus = np.linspace(0.0, h, 11)
-    r1 = r3 = r4 = 0.0
-    for tau in np.asarray(taus, dtype=float):
-        om = _omega(sol, tau)
-        rev = _omega(sol, h - tau)
-        r1 = max(r1, linalg.maxabs(om.omega1 - rev.omega2.T))
-        r3 = max(r3, linalg.maxabs(om.omega3 - rev.omega6.T))
-        r4 = max(r4, linalg.maxabs(om.omega4 - rev.omega5.T))
+    taus = _grid(taus, h, 11)
+    om = _omega(sol, np.stack([taus, h - taus]))
+
+    def flip(a, b):
+        return linalg.maxabs(a[0] - b[1].swapaxes(-1, -2))
+
     o1 = sol.omega0.omega1
     return {
-        "omega1_flip": r1,
-        "omega3_flip": r3,
-        "omega4_flip": r4,
+        "omega1_flip": flip(om.omega1, om.omega2),
+        "omega3_flip": flip(om.omega3, om.omega6),
+        "omega4_flip": flip(om.omega4, om.omega5),
         "omega1_symmetry_at_0": linalg.maxabs(o1 - o1.T),
     }
 

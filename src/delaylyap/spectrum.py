@@ -12,6 +12,7 @@ import numpy as np
 
 from . import linalg
 from . import quadrature
+from .model import kernel_at
 
 HARD_THRESHOLD = 1e-12
 BORDERLINE_THRESHOLD = 1e-8
@@ -96,8 +97,8 @@ def characteristic_matrix(sys, lam):
         transform = np.zeros((n, n), dtype=complex)
     else:
         def integrand(theta):
-            f = np.exp(lam * theta) * (sys.Cd @ linalg.expm(sys.Ad, theta) @ sys.Bd)
-            return np.stack([f.real, f.imag])
+            f = np.exp(lam * theta)[:, None, None] * kernel_at(sys, theta)
+            return np.stack([f.real, f.imag], axis=1)
 
         parts = quadrature.integrate(integrand, -sys.h, 0.0, tol=1e-12)
         transform = parts[0] + 1j * parts[1]

@@ -93,9 +93,10 @@ def random_stable_system(seed, n=2, nd=2, h=1.0):
     Bd = 0.4 * rng.uniform(-1, 1, (nd, n))
     Cd = 0.4 * rng.uniform(-1, 1, (n, nd))
 
-    def kernel_norm(theta):
+    def kernel_norm(thetas):
         import scipy.linalg
-        return np.linalg.norm(Cd @ scipy.linalg.expm(Ad * theta) @ Bd, 2)
+        return np.array([np.linalg.norm(Cd @ scipy.linalg.expm(Ad * theta) @ Bd, 2)
+                         for theta in thetas])
 
     lag_gain = np.linalg.norm(A1, 2) + float(integrate(kernel_norm, -h, 0.0, tol=1e-8))
     mu = float(np.linalg.eigvalsh(0.5 * (A0 + A0.T))[-1])

@@ -346,6 +346,16 @@ class TestEntryPoints:
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_import_leaves_out_interpolate(self):
+        # only a sampled history needs a spline, and no command builds one
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, delaylyap; "
+             "print('scipy.interpolate' in sys.modules)"],
+            capture_output=True, text=True, env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     @pytest.mark.skipif(shutil.which("delaylyap") is None,
                         reason="no installed delaylyap script on PATH")
     def test_installed_console_script(self, tmp_path):

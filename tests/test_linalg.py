@@ -157,6 +157,9 @@ class TestExpmTable:
             got = table(t)
             assert got.shape == X.shape
             assert _relerr(got, linalg.expm(M, t) @ X) <= 1e-13
+        # an array of points reads the same values, stacked
+        assert np.array_equal(table(ts), np.array([table(t) for t in ts]))
+        assert table(ts.reshape(2, -1)).shape == (2, ts.size // 2) + X.shape
 
     @pytest.mark.parametrize("cols", [None, 2])
     def test_start_is_exact(self, cols):
@@ -186,7 +189,7 @@ class TestExpmTable:
     def test_domain(self):
         table = linalg.ExpmTable(np.eye(2), 1.0, np.ones(2))
         table(1.0 + 1e-12)
-        for t in (-0.01, 1.01, np.nan):
+        for t in (-0.01, 1.01, np.nan, [0.5, 1.01]):
             with pytest.raises(ValueError):
                 table(t)
         for T in (0.0, -1.0, np.inf):

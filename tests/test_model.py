@@ -73,9 +73,14 @@ class TestKernelAt:
         # independent route: evaluate the sine/cosine mixture directly
         sys, _ = benchmark_system()
         B0, B1, w = benchmark_sincos_pieces()
-        for theta in np.linspace(-1.0, 0.0, 101):
+        thetas = np.linspace(-1.0, 0.0, 101)
+        for theta in thetas:
             expected = np.sin(w * theta) * B0 + np.cos(w * theta) * B1
             assert_allclose(kernel_at(sys, theta), expected, atol=1e-12)
+        # an array of points gives the kernels stacked
+        assert_allclose(kernel_at(sys, thetas),
+                        np.array([kernel_at(sys, theta) for theta in thetas]),
+                        rtol=1e-15, atol=1e-15)
 
     def test_endpoint_values(self):
         sys, _ = benchmark_system()
@@ -94,6 +99,8 @@ class TestKernelAt:
             kernel_at(sys, 0.1)
         with pytest.raises(ValueError):
             kernel_at(sys, -1.1)
+        with pytest.raises(ValueError):
+            kernel_at(sys, [-0.5, 0.1])
         # boundary slack admits round-off sized excursions
         kernel_at(sys, -1.0 - 1e-15)
 

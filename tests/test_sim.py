@@ -104,6 +104,23 @@ class TestHistorySpec:
             with pytest.raises(ValueError, match=r"\(k,\) or \(k, n\)"):
                 HistorySpec.from_samples([-1.0, -0.5, 0.0], values)
 
+    def test_spline_built_once(self, monkeypatch):
+        import scipy.interpolate
+
+        built = []
+        spline = scipy.interpolate.CubicSpline
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return spline(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.interpolate, "CubicSpline", counting)
+        sys, _ = benchmark_system()
+        thetas = np.linspace(-1.0, 0.0, 201)
+        hist = HistorySpec.from_samples(thetas, np.cos(2 * thetas)[:, None] * [1.0, 0.5])
+        simulate(sys, hist, 2.0)
+        assert len(built) == 1
+
     def test_convolution_state_closed_form(self):
         # scalar kernel: y(0) = c (1 - e^-(a+b) h) / (a + b) for phi = e^(a th)
         a, b, c = 0.5, 0.3, 2.0
@@ -166,8 +183,9 @@ class TestSimulate:
         sys, _ = benchmark_system()
         traj = simulate(sys, HistorySpec.point_mass([1.0, -0.5]), 4.0)
         for t in (1.5, 2.5, 3.7):
-            def f(theta):
-                return scipy.linalg.expm(sys.Ad * theta) @ sys.Bd @ traj.x_at(t + theta)
+            def f(thetas):
+                return np.array([scipy.linalg.expm(sys.Ad * theta) @ sys.Bd
+                                 @ traj.x_at(t + theta) for theta in thetas])
 
             expected = integrate(f, -1.0, 0.0, tol=1e-7)
             assert_allclose(traj.y_at(t), expected, atol=1e-6)
@@ -230,6 +248,10 @@ class TestTrajectory:
             t = (k + 0.5) * coarse.dt
             worst = max(worst, np.max(np.abs(coarse.x_at(t) - fine.xs[2 * k + 1])))
         assert worst < 1e-7
+        # one read of many times, on and between nodes, equals one read each
+        ts = np.concatenate([coarse.ts[::7], np.linspace(0.0, coarse.ts[-1], 301)])
+        for read in (coarse.x_at, coarse.y_at):
+            assert np.array_equal(read(ts), np.array([read(t) for t in ts]))
 
     def test_domain(self):
         sys, _ = benchmark_system()
@@ -238,6 +260,8 @@ class TestTrajectory:
             traj.x_at(-0.5)
         with pytest.raises(ValueError):
             traj.x_at(traj.ts[-1] + 0.1)
+        with pytest.raises(ValueError):
+            traj.y_at([0.5, np.nan])
 
     def test_csv_roundtrip(self, tmp_path):
         sys, _ = benchmark_system()

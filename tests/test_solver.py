@@ -19,9 +19,9 @@ from delaylyap import (
     solve,
     solve_boundary,
 )
-from delaylyap import linalg
+from delaylyap import linalg, solver
 from delaylyap.cli import VALIDATION_BOUNDS
-from delaylyap.solver import OmegaBlocks, block_offsets, block_sizes
+from delaylyap.solver import OmegaBlocks, _layout
 
 from systems import (
     benchmark_sincos_pieces,
@@ -54,8 +54,9 @@ class TestBlockLayout:
         (1, 1, 6), (2, 1, 16), (2, 2, 24), (3, 2, 42), (3, 3, 54),
     ])
     def test_state_size(self, n, nd, expected):
-        assert sum(block_sizes(n, nd)) == expected
-        assert block_offsets(n, nd)[-1] == expected
+        shapes, off = _layout(n, nd)
+        assert list(np.diff(off)) == [r * c for r, c in shapes]
+        assert off[0] == 0 and off[-1] == expected
 
     def test_omega_blocks_roundtrip(self):
         rng = np.random.default_rng(2)
@@ -70,6 +71,12 @@ class TestBlockLayout:
             assert np.array_equal(got, want)
         # the blocks are views of the stacked state, not copies
         assert all(np.shares_memory(M, stacked) for M in om)
+        # states stacked on a leading axis give stacked blocks, still views
+        many = np.stack([stacked, 2 * stacked, -stacked])
+        om = OmegaBlocks.from_stacked(many, n, nd)
+        for got, want in zip(om, blocks):
+            assert np.array_equal(got, [want, 2 * want, -want])
+        assert all(np.shares_memory(M, many) for M in om)
 
     def test_omega_blocks_validation(self):
         with pytest.raises(ValueError):
@@ -306,6 +313,10 @@ class TestPropagationTable:
             want = P_by_expm(sol, tau)
             got = P_at(sol, tau)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # one call over every lag, the reflected ones included, reads the
+        # same bits as one call per lag
+        lags = np.concatenate([taus, -taus])
+        assert np.array_equal(P_at(sol, lags), np.array([P_at(sol, t) for t in lags]))
 
     @pytest.mark.parametrize("seed", [None, 0])
     def test_endpoints_are_bitwise(self, seed):
@@ -346,6 +357,27 @@ class TestPropagationTable:
         assert report["algebraic"] <= 1e-12
         assert "omega_table" not in vars(sol)
         assert "kernel_table" not in vars(sol)
+
+    def test_residual_report_reads_in_batches(self, monkeypatch):
+        # each quadrature rule reads the tables once for all of its nodes;
+        # one read per node took 7,668 P_at and 24,787 table calls
+        calls = {"P_at": 0, "table": 0}
+        P_at_one, read_one = solver.P_at, linalg.ExpmTable.__call__
+
+        def P_at_counted(sol, tau):
+            calls["P_at"] += 1
+            return P_at_one(sol, tau)
+
+        def read_counted(table, t):
+            calls["table"] += 1
+            return read_one(table, t)
+
+        monkeypatch.setattr(solver, "P_at", P_at_counted)
+        monkeypatch.setattr(linalg.ExpmTable, "__call__", read_counted)
+        sys, weight = benchmark_system()
+        residual_report(solve(sys, weight))
+        assert 0 < calls["P_at"] <= 500
+        assert 0 < calls["table"] <= 500
 
     def test_residuals_check_the_served_table(self):
         # P_at and the residuals must read the same table: corrupting it

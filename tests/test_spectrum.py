@@ -108,17 +108,17 @@ class TestCharacteristicFunction:
         # independent route: integrate the kernel transform numerically
         sys, _ = benchmark_system()
         for lam in (0.3, -0.8 + 1.1j, 2.0j, -1.5 - 0.4j):
-            def re_part(theta, lam=lam):
+            def transformed(theta, lam=lam):
                 K = sys.Cd @ (np.cos(np.pi * theta) * np.eye(2)
                               + np.sin(np.pi * theta)
                               * np.array([[0.0, -1.0], [1.0, 0.0]])) @ sys.Bd
-                return (np.exp(lam * theta) * K).real
+                return np.exp(lam * theta) * K
 
-            def im_part(theta, lam=lam):
-                K = sys.Cd @ (np.cos(np.pi * theta) * np.eye(2)
-                              + np.sin(np.pi * theta)
-                              * np.array([[0.0, -1.0], [1.0, 0.0]])) @ sys.Bd
-                return (np.exp(lam * theta) * K).imag
+            def re_part(thetas):
+                return np.array([transformed(theta).real for theta in thetas])
+
+            def im_part(thetas):
+                return np.array([transformed(theta).imag for theta in thetas])
 
             transform = integrate(re_part, -1.0, 0.0, tol=1e-12) \
                 + 1j * integrate(im_part, -1.0, 0.0, tol=1e-12)
