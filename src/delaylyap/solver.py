@@ -146,38 +146,41 @@ def assemble(sys):
     def place(M, i, j, blk):
         M[off[i]:off[i + 1], off[j]:off[j + 1]] = blk
 
-    E = np.zeros((ns, ns))
-    place(E, 0, 0, np.kron(A0.T, In))
-    place(E, 0, 1, np.kron(A1.T, In))
-    place(E, 0, 2, np.kron(Bd.T, In))
-    place(E, 0, 3, np.kron(Bd.T, In))
-    place(E, 1, 0, -np.kron(In, A1.T))
-    place(E, 1, 1, -np.kron(In, A0.T))
-    place(E, 1, 4, -np.kron(In, Bd.T))
-    place(E, 1, 5, -np.kron(In, Bd.T))
-    place(E, 2, 0, np.kron(Cd.T, In))
-    place(E, 2, 2, -np.kron(Ad.T, In))
-    place(E, 3, 1, -np.kron(Ead.T, In))
-    place(E, 3, 3, -np.kron(Ad.T, In))
-    place(E, 4, 0, np.kron(In, Ead.T))
-    place(E, 4, 4, np.kron(In, Ad.T))
-    place(E, 5, 1, -np.kron(In, Cd.T))
-    place(E, 5, 5, np.kron(In, Ad.T))
+    def kron(A, B):
+        # np.kron's products, formed without its per-call overhead
+        return (A[:, None, :, None] * B[None, :, None, :]).reshape(
+            A.shape[0] * B.shape[0], A.shape[1] * B.shape[1])
 
+    BdI, AdI = kron(Bd.T, In), kron(Ad.T, In)
+    IBd, IAd = kron(In, Bd.T), kron(In, Ad.T)
+    E = np.zeros((ns, ns))
+    place(E, 0, 0, kron(A0.T, In))
+    place(E, 0, 1, kron(A1.T, In))
+    place(E, 0, 2, BdI)
+    place(E, 0, 3, BdI)
+    place(E, 1, 0, -kron(In, A1.T))
+    place(E, 1, 1, -kron(In, A0.T))
+    place(E, 1, 4, -IBd)
+    place(E, 1, 5, -IBd)
+    place(E, 2, 0, kron(Cd.T, In))
+    place(E, 2, 2, -AdI)
+    place(E, 3, 1, -kron(Ead.T, In))
+    place(E, 3, 3, -AdI)
+    place(E, 4, 0, kron(In, Ead.T))
+    place(E, 4, 4, IAd)
+    place(E, 5, 1, -kron(In, Cd.T))
+    place(E, 5, 5, IAd)
+
+    # the algebraic condition's rows are E's first block row at tau = 0
+    # and minus its second at tau = h
     F1 = np.zeros((ns, ns))
-    place(F1, 0, 0, np.kron(A0.T, In))
-    place(F1, 0, 1, np.kron(A1.T, In))
-    place(F1, 0, 2, np.kron(Bd.T, In))
-    place(F1, 0, 3, np.kron(Bd.T, In))
+    F1[:off[1]] = E[:off[1]]
     place(F1, 1, 0, np.eye(n * n))
     place(F1, 2, 2, np.eye(n * nd))
     place(F1, 3, 4, np.eye(nd * n))
 
     F2 = np.zeros((ns, ns))
-    place(F2, 0, 0, np.kron(In, A1.T))
-    place(F2, 0, 1, np.kron(In, A0.T))
-    place(F2, 0, 4, np.kron(In, Bd.T))
-    place(F2, 0, 5, np.kron(In, Bd.T))
+    F2[:off[1]] = -E[off[1]:off[2]]
     place(F2, 1, 1, -np.eye(n * n))
     place(F2, 4, 3, np.eye(n * nd))
     place(F2, 5, 5, np.eye(nd * n))

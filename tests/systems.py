@@ -104,6 +104,25 @@ def random_stable_system(seed, n=2, nd=2, h=1.0):
     return TimeDelaySystem(A0, A1, Ad, Bd, Cd, h)
 
 
+def neutral_kernel_system():
+    """Scalar state with a three-dimensional kernel whose ``Ad`` has the
+    eigenvalues ``+-0.82i`` on the imaginary axis (and 0.45).
+
+    The system decays, but the simulator's augmented state carries
+    ``-Ad``, so the truncation error of the early steps stays in an
+    undamped mode: the running cost of a point mass falls from 0.67 to
+    about 1e-22 of that and then neither decays nor grows.
+    """
+    Ad = np.array([[0.0014206067456517, -0.41758364787275326, 0.8789780096257775],
+                   [0.4678303128802206, 0.5655980486833239, -0.2568786382781576],
+                   [-0.5373103494425695, 0.28576832258798146, -0.11678460848054795]])
+    Bd = np.array([[-0.08782853327492797], [-0.01836043299557524], [0.20969930179313964]])
+    Cd = np.array([[0.11682976652796162, -0.3536600093487374, 0.32787655478536887]])
+    sys = TimeDelaySystem([[-0.507535866257895]], [[-0.2790120050235247]], Ad, Bd, Cd,
+                          0.941760198065458)
+    return sys, Weight([[0.6669045304401674]])
+
+
 def random_symmetric(rng, n):
     R = rng.standard_normal((n, n))
     return 0.5 * (R + R.T)

@@ -346,11 +346,13 @@ class TestEntryPoints:
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
 
-    def test_import_leaves_out_interpolate(self):
-        # only a sampled history needs a spline, and no command builds one
+    @pytest.mark.parametrize("module", ["scipy.interpolate", "scipy.integrate"])
+    def test_import_leaves_out(self, module):
+        # only a sampled history needs a spline, and no command builds one;
+        # the oracles' Simpson rule is the package's own
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, delaylyap; "
-             "print('scipy.interpolate' in sys.modules)"],
+             "print(%r in sys.modules)" % module],
             capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr

@@ -24,7 +24,7 @@ from delaylyap import sim
 from delaylyap.model import TimeDelaySystem
 from delaylyap.quadrature import integrate
 
-from systems import benchmark_system, scalar_decay
+from systems import benchmark_system, neutral_kernel_system, scalar_decay
 
 
 def solve_ivp_reference(sys, history, T, rtol=1e-11):
@@ -69,6 +69,89 @@ def solve_ivp_reference(sys, history, T, rtol=1e-11):
     return np.array(out)
 
 
+def reference_simulate(sys, history, T, dt=None):
+    """The per-step RK4 loop that :func:`simulate` replaced, kept literally
+    as its reference: four ``rhs`` calls per step, delayed reads from the
+    history or from the Hermite interpolant of the record. Returns the
+    ``xs``, ``ys``, ``xd_start``, ``xd_end``, ``yd_start`` and ``yd_end``
+    records with the column axis kept."""
+    h = sys.h
+    dt, m, steps = sim._resolve_step(h, T, dt)
+    n = sys.n
+    nd = sys.internal_dim
+    c = history.columns
+    A0, A1, Ad, Bd, Cd = sys.A0, sys.A1, sys.Ad, sys.Bd, sys.Cd
+    EBd = scipy.linalg.expm(-Ad * h) @ Bd
+
+    X = np.zeros((steps + 1, n, c))
+    Y = np.zeros((steps + 1, nd, c))
+    Xd0 = np.zeros((steps, n, c))
+    Xd1 = np.zeros((steps, n, c))
+    Yd0 = np.zeros((steps, nd, c))
+    Yd1 = np.zeros((steps, nd, c))
+    X[0] = history.initial_state()
+    Y[0] = history.convolution_state(sys)
+
+    def rhs(x, y, xd):
+        xd = x if xd is None else xd
+        dx = A0 @ x + Cd @ y + A1 @ xd
+        dy = Bd @ x - Ad @ y - EBd @ xd
+        return dx, dy
+
+    def history_read(theta):
+        if theta >= -1e-12 * max(1.0, h):
+            return history.seam_value()
+        return history.value(max(theta, -h))
+
+    for k in range(steps):
+        x = X[k]
+        y = Y[k]
+        if h == 0:
+            # the delayed argument coincides with each stage's own state
+            xd_a = xd_m = xd_b = None
+        elif k >= m:
+            base = k - m
+            xd_a = X[base]
+            xd_b = X[base + 1]
+            xd_m = sim.Trajectory._hermite(
+                X[base], X[base + 1], Xd0[base], Xd1[base], dt, 0.5
+            )
+        else:
+            theta = (k - m) * dt
+            xd_a = history_read(theta)
+            xd_m = history_read(theta + 0.5 * dt)
+            xd_b = history_read(theta + dt)
+        k1x, k1y = rhs(x, y, xd_a)
+        k2x, k2y = rhs(x + 0.5 * dt * k1x, y + 0.5 * dt * k1y, xd_m)
+        k3x, k3y = rhs(x + 0.5 * dt * k2x, y + 0.5 * dt * k2y, xd_m)
+        k4x, k4y = rhs(x + dt * k3x, y + dt * k3y, xd_b)
+        X[k + 1] = x + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
+        Y[k + 1] = y + dt / 6.0 * (k1y + 2 * k2y + 2 * k3y + k4y)
+        Xd0[k] = k1x
+        Yd0[k] = k1y
+        Xd1[k] = k4x
+        Yd1[k] = k4y
+        if not (np.all(np.isfinite(X[k + 1])) and np.all(np.isfinite(Y[k + 1]))):
+            raise OverflowError("simulation diverged at t=%g" % ((k + 1) * dt))
+    return X, Y, Xd0, Xd1, Yd0, Yd1
+
+
+def recurrence_case(case):
+    """System, history and horizon of one reference-recurrence case."""
+    sys, _ = benchmark_system()
+    thetas = np.linspace(-1.0, 0.0, 201)
+    if case == "point_mass":
+        return sys, HistorySpec.point_mass([1.0, -0.5]), 6.0
+    if case == "samples":
+        values = np.column_stack([np.cos(2 * thetas), np.sin(2 * thetas)])
+        return sys, HistorySpec.from_samples(thetas, values), 6.0
+    if case == "fundamental":
+        return sys, HistorySpec.fundamental(2), 6.0
+    # h = 0: the delayed argument is the state itself
+    sys = TimeDelaySystem(sys.A0, sys.A1, sys.Ad, sys.Bd, sys.Cd, 0.0)
+    return sys, HistorySpec.point_mass([1.0, -0.5]), 3.0
+
+
 class TestHistorySpec:
     def test_point_mass(self):
         hist = HistorySpec.point_mass([1.0, 2.0])
@@ -82,6 +165,7 @@ class TestHistorySpec:
         assert hist.columns == 3
         assert np.array_equal(hist.initial_state(), np.eye(3))
         assert np.all(hist.value(-0.2) == 0)
+        assert np.array_equal(hist.value(np.full((4, 3), -0.2)), np.zeros((4, 3, 3, 3)))
 
     def test_samples_interpolation(self):
         thetas = np.linspace(-1.0, 0.0, 201)
@@ -91,6 +175,10 @@ class TestHistorySpec:
         assert_allclose(hist.initial_state(), [[1.0]], atol=1e-12)
         assert_allclose(hist.value(-0.37), [[np.cos(-0.74)]], atol=1e-8)
         assert_allclose(hist.seam_value(), [[1.0]], atol=1e-12)
+        # an array of lags is one read, stacked on the array's axes
+        lags = np.array([[-0.37, -1.0, -1.5], [-0.5, -1e-3, 0.0]])
+        assert np.array_equal(hist.value(lags),
+                              [[hist.value(t) for t in row] for row in lags])
 
     def test_samples_validation(self):
         with pytest.raises(ValueError):
@@ -200,6 +288,32 @@ class TestSimulate:
         assert np.array_equal(traj.xs[0], hist.initial_state()[:, 0])
         k = int(round(2.0 / traj.dt))
         assert np.max(np.abs(traj.xs[k] - ref[2][:2])) < 1e-7
+
+    @pytest.mark.parametrize("case", ["point_mass", "samples", "fundamental", "h0"])
+    def test_matches_reference_recurrence(self, case):
+        # the precomputed step matrix reorders the loop's arithmetic only
+        sys, hist, T = recurrence_case(case)
+        traj = simulate(sys, hist, T)
+        records = (traj.xs, traj.ys, traj.xd_start, traj.xd_end,
+                   traj.yd_start, traj.yd_end)
+        for got, want in zip(records, reference_simulate(sys, hist, T)):
+            want = want.reshape(got.shape)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("case", ["point_mass", "fundamental"])
+    def test_longer_run_extends_shorter_bitwise(self, case):
+        # oracle_P sizes its run by the largest pending lag, so a lag read
+        # from a longer run must equal the same lag read from its own run
+        sys, hist, _ = recurrence_case(case)
+        short = simulate(sys, hist, 2.5)
+        long = simulate(sys, hist, 6.0)
+        K = short.steps
+        for field in ("xs", "ys"):
+            assert getattr(long, field)[:K + 1].tobytes() \
+                == getattr(short, field).tobytes()
+        for field in ("xd_start", "xd_end", "yd_start", "yd_end"):
+            assert getattr(long, field)[:K].tobytes() \
+                == getattr(short, field).tobytes()
 
     def test_step_validation(self):
         sys, _ = benchmark_system()
@@ -359,6 +473,32 @@ class TestCost:
         predicted = float(x0 @ P_at(sol, 0.0) @ x0)
         assert abs(est.value - predicted) <= 1e-3 * max(1.0, abs(predicted))
 
+    def test_error_floor_is_not_growth(self):
+        # the cost falls to the undamped truncation-error floor of the
+        # augmented state, where the last tenth fits a slow growth
+        sys, weight = neutral_kernel_system()
+        est, traj = cost_to_go(sys, weight, HistorySpec.point_mass([-1.0]))
+        predicted = float(P_at(solve(sys, weight), 0.0)[0, 0])
+        assert est.decaying and est.tail == 0.0
+        assert traj.ts[-1] < 21.0
+        assert abs(est.value - predicted) <= 1e-3 * max(1.0, abs(predicted))
+
+
+@pytest.mark.parametrize("samples", [2, 3, 4, 1281, 1282])
+@pytest.mark.parametrize("shape", [(), (2, 2)])
+def test_simpson_matches_scipy(samples, shape):
+    # odd interval counts take scipy's last-interval correction (>= 1.11)
+    dt = 1.0 / 64
+    ts = dt * np.arange(samples)
+    g = np.exp(-0.5 * ts) * (1.0 + 0.3 * np.cos(3.0 * ts))
+    g = g.reshape((samples,) + (1,) * len(shape)) * np.ones(shape)
+    if shape:
+        g = g * np.array([[1.0, 0.4], [-0.3, 2.0]]) + 0.1 * np.sin(ts)[:, None, None]
+    got = sim._simpson(g, dt)
+    want = scipy.integrate.simpson(g, x=ts, axis=0)
+    assert np.shape(got) == np.shape(want) == shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
 
 @pytest.fixture
 def fm_runs(monkeypatch):
@@ -445,6 +585,12 @@ class TestOracleP:
         sol = solve(sys, weight)
         tau = 0.3
         assert np.max(np.abs(oracle_P(sys, weight, tau) - P_at(sol, tau))) < 1e-3
+
+    def test_error_floor_is_not_growth(self):
+        sys, weight = neutral_kernel_system()
+        taus = [0.0, 0.5]
+        got = oracle_P(sys, weight, taus)
+        assert np.max(np.abs(got - P_at(solve(sys, weight), taus))) < 1e-3
 
     def test_nondecaying_raises(self):
         Ad, Bd, Cd = zero_kernel(1)

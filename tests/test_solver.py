@@ -49,6 +49,58 @@ def stacked_derivative_oracle(sys, blocks):
     ]
 
 
+def kron_assembly(sys):
+    """``E``, ``F1`` and ``F2`` from one ``np.kron`` call per block, as
+    ``assemble`` built them before it formed each product once."""
+    n = sys.n
+    nd = sys.internal_dim
+    A0, A1, Ad, Bd, Cd = sys.A0, sys.A1, sys.Ad, sys.Bd, sys.Cd
+    In = np.eye(n)
+    Ead = Cd @ linalg.expm(Ad, -sys.h)
+    off = _layout(n, nd)[1]
+    ns = off[-1]
+
+    def place(M, i, j, blk):
+        M[off[i]:off[i + 1], off[j]:off[j + 1]] = blk
+
+    E = np.zeros((ns, ns))
+    place(E, 0, 0, np.kron(A0.T, In))
+    place(E, 0, 1, np.kron(A1.T, In))
+    place(E, 0, 2, np.kron(Bd.T, In))
+    place(E, 0, 3, np.kron(Bd.T, In))
+    place(E, 1, 0, -np.kron(In, A1.T))
+    place(E, 1, 1, -np.kron(In, A0.T))
+    place(E, 1, 4, -np.kron(In, Bd.T))
+    place(E, 1, 5, -np.kron(In, Bd.T))
+    place(E, 2, 0, np.kron(Cd.T, In))
+    place(E, 2, 2, -np.kron(Ad.T, In))
+    place(E, 3, 1, -np.kron(Ead.T, In))
+    place(E, 3, 3, -np.kron(Ad.T, In))
+    place(E, 4, 0, np.kron(In, Ead.T))
+    place(E, 4, 4, np.kron(In, Ad.T))
+    place(E, 5, 1, -np.kron(In, Cd.T))
+    place(E, 5, 5, np.kron(In, Ad.T))
+
+    F1 = np.zeros((ns, ns))
+    place(F1, 0, 0, np.kron(A0.T, In))
+    place(F1, 0, 1, np.kron(A1.T, In))
+    place(F1, 0, 2, np.kron(Bd.T, In))
+    place(F1, 0, 3, np.kron(Bd.T, In))
+    place(F1, 1, 0, np.eye(n * n))
+    place(F1, 2, 2, np.eye(n * nd))
+    place(F1, 3, 4, np.eye(nd * n))
+
+    F2 = np.zeros((ns, ns))
+    place(F2, 0, 0, np.kron(In, A1.T))
+    place(F2, 0, 1, np.kron(In, A0.T))
+    place(F2, 0, 4, np.kron(In, Bd.T))
+    place(F2, 0, 5, np.kron(In, Bd.T))
+    place(F2, 1, 1, -np.eye(n * n))
+    place(F2, 4, 3, np.eye(n * nd))
+    place(F2, 5, 5, np.eye(nd * n))
+    return E, F1, F2
+
+
 class TestBlockLayout:
     @pytest.mark.parametrize("n,nd,expected", [
         (1, 1, 6), (2, 1, 16), (2, 2, 24), (3, 2, 42), (3, 3, 54),
@@ -100,6 +152,17 @@ class TestAssembly:
             got = op.E @ om.stacked
             want = OmegaBlocks(*stacked_derivative_oracle(sys, blocks)).stacked
             assert np.max(np.abs(got - want)) < 1e-13
+
+    @pytest.mark.parametrize("case", ["benchmark", "n2", "n6"])
+    def test_bitwise_the_kronecker_assembly(self, case):
+        sys = benchmark_system()[0] if case == "benchmark" \
+            else random_stable_system(0, int(case[1:]), int(case[1:]))
+        op = assemble(sys)
+        E, F1, F2 = kron_assembly(sys)
+        expm_Eh = linalg.expm(E, sys.h)
+        for got, want in ((op.E, E), (op.F1, F1), (op.F2, F2),
+                          (op.expm_Eh, expm_Eh), (op.G, F1 + F2 @ expm_Eh)):
+            assert np.array_equal(got, want)
 
     def test_operator_shape(self):
         sys, _ = benchmark_system()
