@@ -2,12 +2,18 @@
 
 Vectorization follows the column-stacking convention throughout: ``vec``
 stacks columns, so ``vec(A X B) = kron(B.T, A) vec(X)``.
+
+Everything here runs on numpy alone. :func:`expm` is the scaling and
+squaring method with diagonal Pade approximants of Higham (SIMAX 26, 2005),
+with the degree and scaling chosen from norms of matrix powers as in
+Al-Mohy & Higham (SIMAX 31, 2009); :class:`ExpmTable` samples one
+exponential's action on an interval by truncated Taylor steps, and
+:func:`smallest_singular_value` is one LAPACK SVD without vectors.
 """
 
 import math
 
 import numpy as np
-import scipy.linalg
 
 
 def vec(M):
@@ -33,8 +39,117 @@ def unvec(v, rows, cols):
     return v.reshape(rows, cols, order="F")
 
 
+# Numerators of the diagonal Pade approximants r_m(x) = p_m(x) / p_m(-x) of
+# e^x, p_m(x) = sum_k b[k] x^k (Higham 2005, eqs. 2.2 and 2.3), and the
+# largest theta_m = ||A||_1 for which r_m(A) meets unit roundoff in double
+# precision (Al-Mohy & Higham 2009, Table 3.1).
+_PADE = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0,
+        1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0,
+         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+         16380.0, 182.0, 1.0),
+}
+_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+          7: 9.504178996162932e-1, 9: 2.097847961257068e0,
+          13: 5.371920351148152e0}
+
+
+def _norm1(X):
+    return float(np.abs(X).sum(axis=0).max())
+
+
+def _weighted(coeffs, powers):
+    """``sum coeffs[j] powers[j]`` over the first ``len(coeffs)`` of the
+    stacked ``powers``, in one pass (a matrix-vector product)."""
+    k = len(coeffs)
+    c = np.asarray(coeffs, dtype=powers.dtype)
+    return (c @ powers[:k].reshape(k, -1)).reshape(powers.shape[1:])
+
+
+def _pade_expm(A):
+    """``e^A`` for a square ``A`` of size 2 or more, which is scaled in
+    place.
+
+    The degree ``m`` and the scaling ``s`` follow Al-Mohy & Higham (2009),
+    sections 4 and 5, without their ``ell`` correction: the backward error
+    of ``r_m`` is bounded through ``d_k = ||A^k||_1^(1/k)`` of the even
+    powers already formed, the higher ones bounded by submultiplicativity
+    (``d_8 <= d_4``, ``||A^10|| <= ||A^4|| ||A^6||``). These are never
+    larger than ``||A||_1``, so no ``A`` gets a higher degree or more
+    squarings than from Higham (2005), and a non-normal one often gets
+    fewer.
+
+    The even powers share one block, so each sum in the Pade numerator
+    and denominator is one pass over it, and at most eight arrays of
+    ``A``'s size are live at once.
+    """
+    n = A.shape[0]
+    P = np.empty((4,) + A.shape, dtype=A.dtype)  # A^2, A^4, A^6, A^8
+    np.matmul(A, A, out=P[0])
+    norms = [_norm1(P[0])]
+    m, s = 3, 0
+    if norms[0] ** (1 / 2) > _THETA[3]:  # bounds d_4 and d_6
+        np.matmul(P[0], P[0], out=P[1])
+        norms.append(_norm1(P[1]))
+        d4 = norms[1] ** (1 / 4)
+        m = 5
+        if max(d4, (norms[1] * norms[0]) ** (1 / 6)) > _THETA[5]:
+            np.matmul(P[1], P[0], out=P[2])
+            norms.append(_norm1(P[2]))
+            d6 = norms[2] ** (1 / 6)
+            eta = max(d4, d6)
+            if eta <= _THETA[7]:
+                m = 7
+            elif eta <= _THETA[9]:
+                m = 9
+                np.matmul(P[1], P[1], out=P[3])
+            else:
+                m = 13
+                eta = max(d4, min(d6, (norms[1] * norms[2]) ** (1 / 10)))
+                if not math.isfinite(eta):
+                    raise OverflowError("matrix exponential overflowed: "
+                                        "powers of the argument are not finite")
+                s = max(0, math.ceil(math.log2(eta / _THETA[13])))
+                A *= 2.0 ** -s
+                for j in range(3):
+                    P[j] *= 2.0 ** (-2 * (j + 1) * s)
+    b = _PADE[m]
+    if m == 13:
+        # U = A (A^6 (b13 A^6 + b11 A^4 + b9 A^2) + b7 A^6 + ...), V alike
+        u = P[2] @ _weighted(b[9::2], P)
+        u += _weighted(b[3:9:2], P)
+        v = P[2] @ _weighted(b[8::2], P)
+        v += _weighted(b[2:8:2], P)
+    else:
+        u = _weighted(b[3::2], P)
+        v = _weighted(b[2::2], P)
+    del P
+    u.flat[::n + 1] += b[1]
+    v.flat[::n + 1] += b[0]
+    U = A @ u
+    # r_m(A) solves (V - U) X = V + U
+    Q = np.subtract(v, U, out=u)
+    v += U
+    del U
+    X = np.linalg.solve(Q, v)
+    for _ in range(s):
+        X = X @ X
+    return X
+
+
 def expm(M, scale=1.0):
     """Matrix exponential ``e^(M * scale)``.
+
+    Scaling and squaring with a diagonal Pade approximant of degree 3, 5,
+    7, 9 or 13 (Higham, SIMAX 26, 2005), the degree and the number of
+    squarings chosen from the norms of powers of ``M * scale`` (Al-Mohy &
+    Higham, SIMAX 31, 2009). A ``1 x 1`` input is ``np.exp`` of its entry.
 
     Parameters
     ----------
@@ -58,8 +173,13 @@ def expm(M, scale=1.0):
         raise ValueError("expm expects a square matrix, got shape %s" % (M.shape,))
     if scale == 0:
         return np.eye(M.shape[0], dtype=np.result_type(M.dtype, float))
-    out = scipy.linalg.expm(M * scale)
-    if not np.all(np.isfinite(out)):
+    A = M * scale
+    if A.dtype.kind not in "fc":
+        A = A.astype(float)
+    # an overflow shows as a non-finite result, checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.exp(A) if A.shape[0] <= 1 else _pade_expm(A)
+    if not np.isfinite(out).all():
         raise OverflowError("matrix exponential overflowed to non-finite entries")
     return out
 
@@ -163,7 +283,7 @@ def smallest_singular_value(A):
         raise ValueError("expects a 2-d array, got shape %s" % (A.shape,))
     if min(A.shape) == 0:
         return 0.0
-    return float(scipy.linalg.svdvals(A)[-1])
+    return float(np.linalg.svd(A, compute_uv=False)[-1])
 
 
 def maxabs(A):

@@ -40,7 +40,6 @@ from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from . import spectrum as spectrum_mod
@@ -267,7 +266,7 @@ def solve_boundary(op, weight,
         raise spectrum_mod.SpectrumConditionViolated(report)
     rhs = np.zeros(op.ns)
     rhs[: n * n] = -vec(weight.matrix)
-    omega0 = OmegaBlocks.from_stacked(scipy.linalg.solve(op.G, rhs),
+    omega0 = OmegaBlocks.from_stacked(np.linalg.solve(op.G, rhs),
                                       n, op.internal_dim)
     return LyapunovSolution(op.system, weight, op, omega0, report)
 
@@ -286,10 +285,10 @@ def evaluate_omega(sol, tau):
     return OmegaBlocks.from_stacked(stacked, sol.op.n, sol.op.internal_dim)
 
 
-def _omega(sol, t):
-    """Stacked state at the points ``t`` of ``[0, h]``, as blocks of shape
-    ``t.shape + (r, c)``: the boundary values at the ends, one read of the
-    solution's table for the points inside."""
+def _stacked_at(sol, t):
+    """Stacked state at the points ``t`` of ``[0, h]``, shape ``t.shape +
+    (ns,)``: the boundary values at the ends, one read of the solution's
+    table for the points inside."""
     t = np.asarray(t, dtype=float)
     moved = t != 0
     # omega(0) where t = 0, omega(h) elsewhere until the table fills the inside
@@ -297,7 +296,13 @@ def _omega(sol, t):
     inside = moved & (t != sol.system.h)
     if inside.any():
         stacked[inside] = sol.omega_table(t[inside])
-    return OmegaBlocks.from_stacked(stacked, sol.op.n, sol.op.internal_dim)
+    return stacked
+
+
+def _omega(sol, t):
+    """:func:`_stacked_at` as blocks of shape ``t.shape + (r, c)``."""
+    return OmegaBlocks.from_stacked(_stacked_at(sol, t), sol.op.n,
+                                    sol.op.internal_dim)
 
 
 def _kernel_factor(sol, theta):
@@ -334,9 +339,17 @@ def P_at(sol, tau):
         raise ValueError("tau=%r outside [-h, h] with h=%g"
                          % (float(tau[bad].flat[0]), h))
     a = np.minimum(a, h)
-    om = _omega(sol, np.array([a, h - a]))
-    P = 0.5 * (om.omega1[0] + om.omega2[1].swapaxes(-1, -2))
-    return np.where((tau < 0)[..., None, None], P.swapaxes(-1, -2), P)
+    stacked = _stacked_at(sol, np.array([a, h - a]))
+    # only blocks 1 and 2 are read; a row-major read of block 2 is its
+    # transpose (see OmegaBlocks.from_stacked)
+    n = sol.op.n
+    off = _layout(n, sol.op.internal_dim)[1]
+    shape = tau.shape + (n, n)
+    P = 0.5 * (stacked[0, ..., off[0]:off[1]].reshape(shape).swapaxes(-1, -2)
+               + stacked[1, ..., off[1]:off[2]].reshape(shape))
+    if (tau < 0).any():
+        P = np.where((tau < 0)[..., None, None], P.swapaxes(-1, -2), P)
+    return P
 
 
 def _grid(taus, h, points):

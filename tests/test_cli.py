@@ -346,10 +346,12 @@ class TestEntryPoints:
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("module", ["scipy.interpolate", "scipy.integrate"])
+    @pytest.mark.parametrize("module", ["scipy.interpolate", "scipy.integrate",
+                                        "scipy.linalg", "scipy"])
     def test_import_leaves_out(self, module):
         # only a sampled history needs a spline, and no command builds one;
-        # the oracles' Simpson rule is the package's own
+        # the oracles' Simpson rule and the matrix exponential are the
+        # package's own
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, delaylyap; "
              "print(%r in sys.modules)" % module],
@@ -357,6 +359,22 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_commands_leave_out_scipy(self, tmp_path):
+        # solve and validate on the paper's example run on numpy alone
+        cfg = str(DEMO_CONFIGS / "example1.json")
+        code = (
+            "import sys; from delaylyap import cli\n"
+            "for cmd in ('solve', 'validate'):\n"
+            "    rc = cli.main([cmd, '--config', %r, '--out', %r, '--quiet'])\n"
+            "    assert rc == 0, (cmd, rc)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            % (cfg, str(tmp_path / "out"))
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     @pytest.mark.skipif(shutil.which("delaylyap") is None,
                         reason="no installed delaylyap script on PATH")

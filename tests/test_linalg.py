@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
-from delaylyap import linalg
+from delaylyap import linalg, solver
+
+from systems import benchmark_system, random_stable_system
 
 
 class TestVec:
@@ -108,13 +111,56 @@ class TestExpm:
         assert_allclose(out, [[-1.0]], atol=1e-14)
 
     def test_overflow(self):
-        with np.errstate(over="ignore"):
+        # raised without a RuntimeWarning (the test configuration turns
+        # those into errors): by np.exp, by the squarings, and before the
+        # scaling when the powers themselves overflow
+        for M in ([[1e4]], [[1e4, 1.0, 0.0], [0.0, 1e4, 1.0], [1.0, 0.0, 1e4]],
+                  [[1e200, 1e200], [1e200, 1e200]]):
             with pytest.raises(OverflowError):
-                linalg.expm(np.array([[1e4]]), 1e3)
+                linalg.expm(np.array(M), 1e3)
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             linalg.expm(np.ones((2, 3)))
+
+    @staticmethod
+    def solver_arguments():
+        """``E h``, the table step ``E delta`` and ``-Ad`` of the systems
+        the solver sees."""
+        out = {}
+        for name, sys in [("benchmark", benchmark_system()[0])] + [
+                ("n%d" % n, random_stable_system(0, n, n)) for n in (2, 6, 12)]:
+            E = solver.assemble(sys).E
+            J = max(1, math.ceil(np.linalg.norm(E, 1) * sys.h))
+            out[name] = {"E h": E * sys.h, "E delta": E * (sys.h / J),
+                         "-Ad": -sys.Ad}
+        return out
+
+    @staticmethod
+    def cycle(m, r):
+        # every power of a cyclic permutation has 1-norm 1, so
+        # ||(r C)^k||_1^(1/k) = r picks the Pade degree: r below theta_3,
+        # theta_5, theta_7 and theta_9 gives degree 3, 5, 7 and 9, and
+        # r = 3 degree 13
+        return r * np.roll(np.eye(m), 1, axis=1)
+
+    def test_matches_scipy(self):
+        cases = [M for sys in self.solver_arguments().values()
+                 for M in sys.values()]
+        rng = np.random.default_rng(41)
+        cases.append(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+        cases += [self.cycle(7, r) for r in (0.01, 0.2, 0.9, 2.0, 3.0)]
+        for M in cases:
+            assert _relerr(linalg.expm(M), scipy.linalg.expm(M)) <= 1e-13
+
+    def test_matches_high_precision(self):
+        mpmath = pytest.importorskip("mpmath")
+        M, _ = TestExpmTable.non_normal()
+        M = 2.0 * M  # couplings 10 to 40
+        with mpmath.workdps(50):
+            ref = mpmath.expm(mpmath.matrix(0.5 * M))
+            want = np.array(ref.tolist(), dtype=float)
+        assert _relerr(linalg.expm(M, 0.5), want) <= 1e-14
 
 
 def _relerr(got, want):

@@ -267,7 +267,7 @@ class TestBoundarySolve:
     @pytest.mark.parametrize("seed", [None, 0])
     def test_one_decomposition_decides_and_solves(self, seed, monkeypatch):
         # the SVD that grades solvability is the only one taken of G; the
-        # solution is the plain LU solve, bitwise
+        # solution is numpy's plain LU solve, bitwise
         if seed is None:
             sys, weight = benchmark_system()
         else:
@@ -285,7 +285,7 @@ class TestBoundarySolve:
         assert len(calls) == 1
         rhs = np.zeros(op.ns)
         rhs[: sys.n ** 2] = -weight.matrix.reshape(-1, order="F")
-        assert np.array_equal(sol.omega0.stacked, scipy.linalg.solve(op.G, rhs))
+        assert np.array_equal(sol.omega0.stacked, np.linalg.solve(op.G, rhs))
 
 
 class TestClosedForms:
