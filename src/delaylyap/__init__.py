@@ -53,7 +53,6 @@ from .sim import (
 )
 from .config import (
     ConfigError,
-    RunConfig,
     build_histories,
     build_system,
     build_weight,
@@ -73,7 +72,6 @@ __all__ = [
     "LyapunovSolution",
     "OmegaBlocks",
     "P_at",
-    "RunConfig",
     "SpectrumConditionViolated",
     "SpectrumReport",
     "TimeDelaySystem",

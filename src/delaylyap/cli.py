@@ -65,21 +65,18 @@ def _matrix_list(M):
 
 
 def _load(args):
+    """Parse ``--config`` and apply the overrides, which go through the same
+    checks as the file."""
     cfg = config_mod.parse_config(args.config)
-    if getattr(args, "tau_points", None):
-        cfg.tau = config_mod.TauConfig(points=args.tau_points)
-    for item in getattr(args, "tolerance", None) or []:
-        if "=" in item:
-            key, _, val = item.partition("=")
-            if key not in config_mod.DEFAULT_TOLERANCES:
-                raise config_mod.ConfigError("unknown tolerance %r" % key)
-        else:
-            key, val = "singular", item
+    if args.tau_points is not None:
+        cfg["tau"] = {"points": args.tau_points}
+    for item in args.tolerance or []:
+        key, val = item.split("=", 1) if "=" in item else ("singular", item)
         try:
-            cfg.tolerances[key] = float(val)
+            cfg["tolerances"][key] = float(val)
         except ValueError:
             raise config_mod.ConfigError("tolerance %r is not a number" % item)
-    return cfg
+    return config_mod.parse_config(cfg)
 
 
 def _outdir(args):
@@ -126,8 +123,8 @@ def _solve_from_config(cfg):
     t0 = time.perf_counter()
     sol = solver.solve_boundary(
         op, weight,
-        hard=cfg.tolerances["singular"],
-        borderline=cfg.tolerances["borderline"],
+        hard=cfg["tolerances"]["singular"],
+        borderline=cfg["tolerances"]["borderline"],
     )
     elapsed = time.perf_counter() - t0
     return sys_, weight, op, sol, elapsed
@@ -157,7 +154,7 @@ def cmd_solve(args):
     sys_, weight, op, sol, elapsed = _solve_from_config(cfg)
     taus = config_mod.tau_grid(cfg, sys_)
     mats = solver.P_at(sol, taus)
-    residuals = solver.residual_report(sol, quad_tol=cfg.tolerances["quadrature"])
+    residuals = solver.residual_report(sol, quad_tol=cfg["tolerances"]["quadrature"])
     out = _outdir(args)
     _write_p_csv(out / "P_tau.csv", taus, mats)
     summary = {
@@ -189,8 +186,8 @@ def cmd_check(args):
     op = solver.assemble(sys_)
     report = spectrum.check(
         op,
-        hard=cfg.tolerances["singular"],
-        borderline=cfg.tolerances["borderline"],
+        hard=cfg["tolerances"]["singular"],
+        borderline=cfg["tolerances"]["borderline"],
     )
     _say(args, "solvability: %s" % report.verdict)
     _say(args, "sigma_min(G) = %.6e" % report.sigma_min)
@@ -211,7 +208,8 @@ def cmd_check(args):
 def cmd_validate(args):
     cfg = _load(args)
     sys_, weight, op, sol, elapsed = _solve_from_config(cfg)
-    tol = cfg.tolerances
+    tol = cfg["tolerances"]
+    T, dt = cfg["simulation"]["T"], cfg["simulation"]["dt"]
     out = _outdir(args)
     ok = True
     checks = []
@@ -227,8 +225,8 @@ def cmd_validate(args):
 
     h = sys_.h
     taus = [f * h for f in (0.0, 0.25, 0.5, 0.75, 1.0)] if h > 0 else [0.0]
-    oracle = sim_mod.oracle_P(sys_, weight, taus, T=cfg.simulation.T,
-                              dt=cfg.simulation.dt, tail_tol=tol["tail"])
+    oracle = sim_mod.oracle_P(sys_, weight, taus, T=T, dt=dt,
+                              tail_tol=tol["tail"])
     for tau, P, Po in zip(taus, solver.P_at(sol, taus), oracle):
         diff = maxabs(P - Po)
         bound = 1e-3 * max(1.0, maxabs(Po))
@@ -241,8 +239,7 @@ def cmd_validate(args):
     first_traj = None
     for hist in config_mod.build_histories(cfg):
         name = "cost x0=%s" % hist.x0.tolist()
-        est, traj = sim_mod.cost_to_go(sys_, weight, hist, T=cfg.simulation.T,
-                                       dt=cfg.simulation.dt,
+        est, traj = sim_mod.cost_to_go(sys_, weight, hist, T=T, dt=dt,
                                        tail_tol=tol["tail"])
         if first_traj is None:
             first_traj = traj

@@ -18,12 +18,17 @@ Matrices are row-major nested arrays. The kernel accepts either the
 factored form above or the sine/cosine shorthand ``{"B0": ..., "B1":
 ..., "frequency": w}`` for kernels ``sin(w th) B0 + cos(w th) B1``. The
 tau section may list explicit ``"values"`` instead of a point count.
-Null ``T``/``dt`` mean automatic choices. Parsing fills every default,
-so a dumped config re-parses to an equal object.
+Null ``T``/``dt`` mean automatic choices.
+
+:func:`parse_config` returns the normalized document itself: a plain
+``dict`` of JSON values with every default filled in, so dumping it and
+parsing it again yields an equal dict. Every number must be finite, and
+the tolerances, ``T`` and ``dt`` must be positive; a violation raises
+:class:`ConfigError` naming the key.
 """
 
 import json
-from dataclasses import dataclass, field
+import math
 
 import numpy as np
 
@@ -50,6 +55,13 @@ def _require(mapping, key, where):
     return mapping[key]
 
 
+def _section(raw, key):
+    obj = raw.get(key, {})
+    if not isinstance(obj, dict):
+        raise ConfigError("%s must be an object" % key)
+    return obj
+
+
 def _matrix(obj, name):
     try:
         arr = np.asarray(obj, dtype=float)
@@ -57,85 +69,21 @@ def _matrix(obj, name):
         raise ConfigError("%s must be a numeric matrix" % name)
     if arr.ndim != 2 or arr.size == 0:
         raise ConfigError("%s must be a nonempty 2-d array" % name)
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError("%s must have finite entries" % name)
     return [[float(v) for v in row] for row in arr]
 
 
-def _number(obj, name, allow_none=False):
+def _number(obj, name, allow_none=False, positive=False):
     if obj is None and allow_none:
         return None
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ConfigError("%s must be a number" % name)
+    if not math.isfinite(obj):
+        raise ConfigError("%s must be finite" % name)
+    if positive and obj <= 0:
+        raise ConfigError("%s must be positive" % name)
     return float(obj)
-
-
-@dataclass
-class KernelConfig:
-    Ad: list = None
-    Bd: list = None
-    Cd: list = None
-    B0: list = None
-    B1: list = None
-    frequency: float = None
-
-    @property
-    def form(self):
-        return "factored" if self.Ad is not None else "sincos"
-
-    def to_dict(self):
-        if self.form == "factored":
-            return {"Ad": self.Ad, "Bd": self.Bd, "Cd": self.Cd}
-        return {"B0": self.B0, "B1": self.B1, "frequency": self.frequency}
-
-
-@dataclass
-class SystemConfig:
-    A0: list
-    A1: list
-    h: float
-    kernel: KernelConfig
-
-    def to_dict(self):
-        return {"A0": self.A0, "A1": self.A1, "h": self.h,
-                "kernel": self.kernel.to_dict()}
-
-
-@dataclass
-class TauConfig:
-    points: int = 201
-    values: list = None
-
-    def to_dict(self):
-        if self.values is not None:
-            return {"values": self.values}
-        return {"points": self.points}
-
-
-@dataclass
-class SimConfig:
-    T: float = None
-    dt: float = None
-    histories: list = field(default_factory=list)
-
-    def to_dict(self):
-        return {"T": self.T, "dt": self.dt, "histories": self.histories}
-
-
-@dataclass
-class RunConfig:
-    system: SystemConfig
-    Q: list
-    tau: TauConfig
-    simulation: SimConfig
-    tolerances: dict
-
-    def to_dict(self):
-        return {
-            "system": self.system.to_dict(),
-            "Q": self.Q,
-            "tau": self.tau.to_dict(),
-            "simulation": self.simulation.to_dict(),
-            "tolerances": dict(self.tolerances),
-        }
 
 
 def _parse_kernel(obj):
@@ -146,18 +94,15 @@ def _parse_kernel(obj):
     if factored and shorthand:
         raise ConfigError("system.kernel mixes the factored and sincos forms")
     if factored:
-        return KernelConfig(
-            Ad=_matrix(_require(obj, "Ad", "system.kernel"), "kernel.Ad"),
-            Bd=_matrix(_require(obj, "Bd", "system.kernel"), "kernel.Bd"),
-            Cd=_matrix(_require(obj, "Cd", "system.kernel"), "kernel.Cd"),
-        )
+        return {key: _matrix(_require(obj, key, "system.kernel"), "kernel." + key)
+                for key in ("Ad", "Bd", "Cd")}
     if shorthand:
-        return KernelConfig(
-            B0=_matrix(_require(obj, "B0", "system.kernel"), "kernel.B0"),
-            B1=_matrix(_require(obj, "B1", "system.kernel"), "kernel.B1"),
-            frequency=_number(_require(obj, "frequency", "system.kernel"),
-                              "kernel.frequency"),
-        )
+        return {
+            "B0": _matrix(_require(obj, "B0", "system.kernel"), "kernel.B0"),
+            "B1": _matrix(_require(obj, "B1", "system.kernel"), "kernel.B1"),
+            "frequency": _number(_require(obj, "frequency", "system.kernel"),
+                                 "kernel.frequency"),
+        }
     raise ConfigError("system.kernel must give Ad/Bd/Cd or B0/B1/frequency")
 
 
@@ -165,8 +110,8 @@ def parse_config(source):
     """Load and normalize a run configuration.
 
     ``source`` is a file path, an open file object, or an already-decoded
-    dictionary. Defaults are materialized so dumping the result and
-    parsing it again yields an equal configuration.
+    dictionary, which is not modified. Returns the normalized document as
+    a new ``dict`` whose keys come in the order :func:`dump_config` prints.
     """
     if isinstance(source, dict):
         raw = source
@@ -187,65 +132,59 @@ def parse_config(source):
         raise ConfigError("top level of the config must be an object")
 
     sys_raw = _require(raw, "system", "config")
-    A0 = _matrix(_require(sys_raw, "A0", "system"), "system.A0")
-    A1 = _matrix(_require(sys_raw, "A1", "system"), "system.A1")
-    h = _number(_require(sys_raw, "h", "system"), "system.h")
-    kernel = _parse_kernel(_require(sys_raw, "kernel", "system"))
-    system = SystemConfig(A0=A0, A1=A1, h=h, kernel=kernel)
-    n = len(A0)
+    system = {
+        "A0": _matrix(_require(sys_raw, "A0", "system"), "system.A0"),
+        "A1": _matrix(_require(sys_raw, "A1", "system"), "system.A1"),
+        "h": _number(_require(sys_raw, "h", "system"), "system.h"),
+        "kernel": _parse_kernel(_require(sys_raw, "kernel", "system")),
+    }
+    n = len(system["A0"])
 
     Q = _matrix(_require(raw, "Q", "config"), "Q")
 
-    tau_raw = raw.get("tau", {})
-    if not isinstance(tau_raw, dict):
-        raise ConfigError("tau must be an object")
-    if "values" in tau_raw and tau_raw["values"] is not None:
+    tau_raw = _section(raw, "tau")
+    if tau_raw.get("values") is not None:
         values = tau_raw["values"]
         if not isinstance(values, list) or not values:
             raise ConfigError("tau.values must be a nonempty list")
-        tau = TauConfig(values=[_number(v, "tau.values entry") for v in values])
+        tau = {"values": [_number(v, "tau.values entry") for v in values]}
     else:
         points = tau_raw.get("points", 201)
         if isinstance(points, bool) or not isinstance(points, int) or points < 2:
             raise ConfigError("tau.points must be an integer >= 2")
-        tau = TauConfig(points=points)
+        tau = {"points": points}
 
-    sim_raw = raw.get("simulation", {})
-    if not isinstance(sim_raw, dict):
-        raise ConfigError("simulation must be an object")
-    T = _number(sim_raw.get("T"), "simulation.T", allow_none=True)
-    dt = _number(sim_raw.get("dt"), "simulation.dt", allow_none=True)
+    sim_raw = _section(raw, "simulation")
     histories = sim_raw.get("histories")
     if histories is None:
         histories = [[1.0 if j == i else 0.0 for j in range(n)] for i in range(n)]
     if not isinstance(histories, list) or not histories:
         raise ConfigError("simulation.histories must be a nonempty list")
-    norm_hist = []
+    simulation = {key: _number(sim_raw.get(key), "simulation." + key,
+                               allow_none=True, positive=True)
+                  for key in ("T", "dt")}
+    simulation["histories"] = []
     for k, vec in enumerate(histories):
+        name = "simulation.histories[%d]" % k
         if not isinstance(vec, list) or len(vec) != n:
-            raise ConfigError(
-                "simulation.histories[%d] must be a vector of length %d" % (k, n)
-            )
-        norm_hist.append([_number(v, "history entry") for v in vec])
-    simulation = SimConfig(T=T, dt=dt, histories=norm_hist)
+            raise ConfigError("%s must be a vector of length %d" % (name, n))
+        simulation["histories"].append([_number(v, name) for v in vec])
 
-    tol_raw = raw.get("tolerances", {})
-    if not isinstance(tol_raw, dict):
-        raise ConfigError("tolerances must be an object")
+    tol_raw = _section(raw, "tolerances")
     unknown = set(tol_raw) - set(DEFAULT_TOLERANCES)
     if unknown:
         raise ConfigError("unknown tolerance keys: %s" % ", ".join(sorted(unknown)))
-    tolerances = dict(DEFAULT_TOLERANCES)
-    for key, val in tol_raw.items():
-        tolerances[key] = _number(val, "tolerances.%s" % key)
+    tolerances = {key: _number(tol_raw.get(key, default), "tolerances." + key,
+                               positive=True)
+                  for key, default in DEFAULT_TOLERANCES.items()}
 
-    return RunConfig(system=system, Q=Q, tau=tau, simulation=simulation,
-                     tolerances=tolerances)
+    return {"system": system, "Q": Q, "tau": tau, "simulation": simulation,
+            "tolerances": tolerances}
 
 
 def dump_config(cfg, fp=None):
     """Serialize a configuration to JSON (returned, or written to ``fp``)."""
-    text = json.dumps(cfg.to_dict(), indent=2) + "\n"
+    text = json.dumps(cfg, indent=2) + "\n"
     if fp is not None:
         fp.write(text)
     return text
@@ -253,31 +192,32 @@ def dump_config(cfg, fp=None):
 
 def build_system(cfg):
     """Materialize the TimeDelaySystem described by a configuration."""
-    k = cfg.system.kernel
+    system, k = cfg["system"], cfg["system"]["kernel"]
     try:
-        if k.form == "factored":
-            Ad, Bd, Cd = np.array(k.Ad), np.array(k.Bd), np.array(k.Cd)
+        if "Ad" in k:
+            Ad, Bd, Cd = np.array(k["Ad"]), np.array(k["Bd"]), np.array(k["Cd"])
         else:
-            Ad, Bd, Cd = sincos_kernel(k.B0, k.B1, k.frequency)
-        return TimeDelaySystem(cfg.system.A0, cfg.system.A1, Ad, Bd, Cd,
-                               cfg.system.h)
+            Ad, Bd, Cd = sincos_kernel(k["B0"], k["B1"], k["frequency"])
+        return TimeDelaySystem(system["A0"], system["A1"], Ad, Bd, Cd,
+                               system["h"])
     except ValueError as exc:
         raise ConfigError(str(exc))
 
 
 def build_weight(cfg):
     try:
-        return Weight(cfg.Q)
+        return Weight(cfg["Q"])
     except ValueError as exc:
         raise ConfigError(str(exc))
 
 
 def tau_grid(cfg, sys):
     """Evaluation grid for the Lyapunov matrix, all points in ``[0, h]``."""
-    if cfg.tau.values is not None:
-        taus = np.asarray(cfg.tau.values, dtype=float)
+    tau = cfg["tau"]
+    if "values" in tau:
+        taus = np.asarray(tau["values"], dtype=float)
     else:
-        taus = np.linspace(0.0, sys.h, cfg.tau.points)
+        taus = np.linspace(0.0, sys.h, tau["points"])
     if np.any(taus < -1e-12) or np.any(taus > sys.h * (1 + 1e-12) + 1e-12):
         raise ConfigError("tau values must lie in [0, h]")
     return taus
@@ -285,7 +225,7 @@ def tau_grid(cfg, sys):
 
 def build_histories(cfg):
     """Point-mass histories listed in the simulation section."""
-    return [HistorySpec.point_mass(v) for v in cfg.simulation.histories]
+    return [HistorySpec.point_mass(v) for v in cfg["simulation"]["histories"]]
 
 
 def default_config():

@@ -7,6 +7,10 @@ stacked on a leading axis: shape ``(k,)`` for a scalar integrand, ``(k,
 
 import numpy as np
 
+# rule order and starting panel count of the adaptive ``integrate``
+ORDER = 10
+PANELS = 4
+
 
 def panel_nodes(a, b, panels, order):
     """Nodes and weights of a composite Gauss-Legendre rule on ``[a, b]``."""
@@ -34,8 +38,9 @@ def fixed_quad(f, a, b, panels=8, order=10):
     return np.cumsum(terms, axis=0)[-1]
 
 
-def integrate(f, a, b, tol=1e-10, order=10, panels=4, max_panels=512):
-    """Integrate ``f`` over ``[a, b]``, doubling panels until converged.
+def integrate(f, a, b, tol=1e-10, max_panels=512):
+    """Integrate ``f`` over ``[a, b]``, doubling panels from ``PANELS``
+    until converged.
 
     Stops when doubling the panel count changes the result by less than
     ``tol * max(1, |result|)`` in the max-abs norm. Raises ``RuntimeError``
@@ -44,11 +49,12 @@ def integrate(f, a, b, tol=1e-10, order=10, panels=4, max_panels=512):
     """
     if b == a:
         return np.zeros_like(np.asarray(f(np.array([a])), dtype=float)[0])
-    coarse = fixed_quad(f, a, b, panels, order)
+    panels = PANELS
+    coarse = fixed_quad(f, a, b, panels, ORDER)
     err = np.inf
     while panels < max_panels:
         panels *= 2
-        fine = fixed_quad(f, a, b, panels, order)
+        fine = fixed_quad(f, a, b, panels, ORDER)
         err = np.max(np.abs(fine - coarse))
         scale = max(1.0, float(np.max(np.abs(fine))))
         if err < tol * scale:

@@ -118,10 +118,6 @@ class AuxOperator:
     def internal_dim(self):
         return self.system.internal_dim
 
-    @property
-    def h(self):
-        return self.system.h
-
 
 def assemble(sys):
     """Assemble the auxiliary operator of a delay system.

@@ -50,6 +50,93 @@ ZERO_ROOT = {
 }
 
 
+# `dump-config --config demos/configs/example1.json`, byte for byte: the
+# key order of every section, indent=2 and a trailing newline.
+EXAMPLE1_DUMP = """\
+{
+  "system": {
+    "A0": [
+      [
+        -1.0,
+        0.0
+      ],
+      [
+        0.0,
+        -1.0
+      ]
+    ],
+    "A1": [
+      [
+        0.0,
+        1.0
+      ],
+      [
+        -1.0,
+        0.0
+      ]
+    ],
+    "h": 1.0,
+    "kernel": {
+      "B0": [
+        [
+          0.3,
+          0.0
+        ],
+        [
+          0.0,
+          0.3
+        ]
+      ],
+      "B1": [
+        [
+          0.0,
+          0.3
+        ],
+        [
+          -0.3,
+          0.0
+        ]
+      ],
+      "frequency": 3.141592653589793
+    }
+  },
+  "Q": [
+    [
+      1.0,
+      0.0
+    ],
+    [
+      0.0,
+      1.0
+    ]
+  ],
+  "tau": {
+    "points": 201
+  },
+  "simulation": {
+    "T": null,
+    "dt": null,
+    "histories": [
+      [
+        1.0,
+        0.0
+      ],
+      [
+        0.0,
+        1.0
+      ]
+    ]
+  },
+  "tolerances": {
+    "singular": 1e-12,
+    "borderline": 1e-08,
+    "quadrature": 1e-10,
+    "tail": 1e-05
+  }
+}
+"""
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -254,6 +341,22 @@ class TestDumpConfig:
         assert rc == 0
         assert first == second
 
+    def test_example1_text(self, capsys):
+        rc = main(["dump-config", "--config", str(DEMO_CONFIGS / "example1.json")])
+        assert rc == 0
+        text = capsys.readouterr().out
+        assert text == EXAMPLE1_DUMP
+
+        def reject(literal):
+            raise ValueError("not strict JSON: %s" % literal)
+
+        json.loads(text, parse_constant=reject)
+
+    def test_parsed_config_is_the_document(self):
+        cfg = parse_config(str(DEMO_CONFIGS / "example1.json"))
+        assert type(cfg) is dict
+        assert json.loads(dump_config(cfg)) == cfg
+
     def test_fills_defaults(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BENCHMARK)
         rc = main(["dump-config", "--config", cfg])
@@ -302,6 +405,22 @@ class TestInputErrors:
         cfg = write_config(tmp_path, BENCHMARK)
         assert main(["solve", "--config", cfg, "--tolerance", "bogus=1"]) == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("flags, section", [
+        (["--tau-points", "0"], {}),
+        (["--tau-points", "1"], {}),
+        (["--tolerance", "tail=nan"], {}),
+        (["--tolerance", "quadrature=-1"], {}),
+        ([], {"tolerances": {"tail": float("nan")}}),
+        ([], {"simulation": {"T": -1}}),
+    ], ids=["tau-points-0", "tau-points-1", "tail-nan-flag", "quadrature-negative",
+            "tail-nan-file", "T-negative-file"])
+    def test_flags_and_file_share_checks(self, tmp_path, capsys, flags, section):
+        payload = json.loads((DEMO_CONFIGS / "example1.json").read_text())
+        payload.update(section)
+        cfg = write_config(tmp_path, payload)
+        assert main(["dump-config", "--config", cfg] + flags) == 3
+        assert "input error" in capsys.readouterr().err
 
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
