@@ -152,7 +152,7 @@ def _report_lines(sys_, sol, residuals):
 def cmd_solve(args):
     cfg = _load(args)
     sys_, weight, op, sol, elapsed = _solve_from_config(cfg)
-    taus = config_mod.tau_grid(cfg, sys_)
+    taus = config_mod.tau_grid(cfg)
     mats = solver.P_at(sol, taus)
     residuals = solver.residual_report(sol, quad_tol=cfg["tolerances"]["quadrature"])
     out = _outdir(args)
@@ -258,7 +258,7 @@ def cmd_validate(args):
                        "bound": bound, "pass": bool(passed),
                        "simulated": est.value, "predicted": predicted})
 
-    taus_grid = config_mod.tau_grid(cfg, sys_)
+    taus_grid = config_mod.tau_grid(cfg)
     _write_p_csv(out / "P_tau.csv", taus_grid, solver.P_at(sol, taus_grid))
     if first_traj is not None:
         first_traj.to_csv(out / "trajectory.csv")
@@ -295,7 +295,7 @@ def cmd_sample(args):
         if not taus:
             raise config_mod.ConfigError("--tau lists no values")
     else:
-        taus = list(config_mod.tau_grid(cfg, sys_))
+        taus = list(config_mod.tau_grid(cfg))
     mats = solver.P_at(sol, taus)
     for line in _p_csv_lines(taus, mats):
         print(line)

@@ -63,15 +63,11 @@ def _section(raw, key):
 
 
 def _matrix(obj, name):
-    try:
-        arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError("%s must be a numeric matrix" % name)
-    if arr.ndim != 2 or arr.size == 0:
+    if not (isinstance(obj, list) and obj
+            and all(isinstance(row, list) and row for row in obj)
+            and len({len(row) for row in obj}) == 1):
         raise ConfigError("%s must be a nonempty 2-d array" % name)
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError("%s must have finite entries" % name)
-    return [[float(v) for v in row] for row in arr]
+    return [[_number(v, name + " entry") for v in row] for row in obj]
 
 
 def _number(obj, name, allow_none=False, positive=False):
@@ -79,11 +75,15 @@ def _number(obj, name, allow_none=False, positive=False):
         return None
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ConfigError("%s must be a number" % name)
-    if not math.isfinite(obj):
+    try:
+        value = float(obj)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
         raise ConfigError("%s must be finite" % name)
-    if positive and obj <= 0:
+    if positive and value <= 0:
         raise ConfigError("%s must be positive" % name)
-    return float(obj)
+    return value
 
 
 def _parse_kernel(obj):
@@ -148,6 +148,7 @@ def parse_config(source):
         if not isinstance(values, list) or not values:
             raise ConfigError("tau.values must be a nonempty list")
         tau = {"values": [_number(v, "tau.values entry") for v in values]}
+        tau_grid({"system": system, "tau": tau})
     else:
         points = tau_raw.get("points", 201)
         if isinstance(points, bool) or not isinstance(points, int) or points < 2:
@@ -211,14 +212,14 @@ def build_weight(cfg):
         raise ConfigError(str(exc))
 
 
-def tau_grid(cfg, sys):
+def tau_grid(cfg):
     """Evaluation grid for the Lyapunov matrix, all points in ``[0, h]``."""
-    tau = cfg["tau"]
+    tau, h = cfg["tau"], cfg["system"]["h"]
     if "values" in tau:
         taus = np.asarray(tau["values"], dtype=float)
     else:
-        taus = np.linspace(0.0, sys.h, tau["points"])
-    if np.any(taus < -1e-12) or np.any(taus > sys.h * (1 + 1e-12) + 1e-12):
+        taus = np.linspace(0.0, h, tau["points"])
+    if np.any(taus < -1e-12) or np.any(taus > h * (1 + 1e-12) + 1e-12):
         raise ConfigError("tau values must lie in [0, h]")
     return taus
 

@@ -257,23 +257,29 @@ class ExpmTable:
         self.shape = X.shape
         self.T = T
         self.delta = delta
-        self._exponents = np.arange(self.DEGREE + 1)
 
     @property
     def nodes(self):
         return self.terms.shape[0]
 
-    def __call__(self, t):
+    def __call__(self, t, cols=slice(None)):
         """``expm(M t) X`` for ``t`` in ``[0, T]``. An array of ``t`` gives
-        the values stacked on its leading axes."""
+        the values stacked on its leading axes. A slice ``cols`` of the
+        flattened ``X`` reads only those columns, shape ``t.shape +
+        (width,)``."""
         t = np.asarray(t, dtype=float)
         slack = 1e-9 * max(1.0, self.T)
         if not np.all((-slack <= t) & (t <= self.T + slack)):
             raise ValueError("t=%r outside [0, %g]" % (t, self.T))
         j = np.clip(np.rint(t / self.delta), 0, self.nodes - 1).astype(int).ravel()
         s = t.ravel() - j * self.delta
-        out = np.einsum("ik,ikm->im", s[:, None] ** self._exponents, self.terms[j])
-        return out.reshape(t.shape + self.shape)
+        # s^k for k <= K by a running product, one row per power
+        powers = np.empty((self.DEGREE + 1, s.size))
+        powers[0] = 1.0
+        for k in range(self.DEGREE):
+            np.multiply(powers[k], s, out=powers[k + 1])
+        out = np.einsum("ki,ikm->im", powers, self.terms[j, :, cols])
+        return out.reshape(t.shape + (self.shape if cols == slice(None) else (-1,)))
 
 
 def smallest_singular_value(A):

@@ -23,8 +23,10 @@ is sampled from that table or from the kernel's table of ``expm(-Ad s)``.
 
 Evaluation takes arrays: :func:`P_at`, the kernel and the stacked state
 accept an array of points and return the values stacked on its axes, so
-each quadrature rule of a residual check, whose integrand receives all of
-the rule's nodes at once, is one read of each table.
+each round of a residual check's quadrature, whose integrand receives the
+nodes of all of its pending integrals at once, is one read of each table.
+:func:`P_at` and the convolution integrands read only the columns of
+blocks 1 and 2.
 
 ``P`` on ``[-h, 0)`` is defined by the reflection ``P(-tau) = P(tau).T``,
 which leaves a derivative kink at ``tau = 0``; the residual checks below
@@ -44,7 +46,7 @@ import numpy as np
 from . import linalg
 from . import spectrum as spectrum_mod
 from .linalg import vec
-from .quadrature import integrate
+from .quadrature import integrate, integrate_batch
 
 
 @cache
@@ -281,18 +283,27 @@ def evaluate_omega(sol, tau):
     return OmegaBlocks.from_stacked(stacked, sol.op.n, sol.op.internal_dim)
 
 
-def _stacked_at(sol, t):
+def _stacked_at(sol, t, cols=slice(None)):
     """Stacked state at the points ``t`` of ``[0, h]``, shape ``t.shape +
-    (ns,)``: the boundary values at the ends, one read of the solution's
-    table for the points inside."""
+    (ns,)``, or only the columns ``cols``: the boundary values at the
+    ends, one read of the solution's table for the points inside."""
     t = np.asarray(t, dtype=float)
     moved = t != 0
     # omega(0) where t = 0, omega(h) elsewhere until the table fills the inside
-    stacked = sol._ends[moved.astype(int)]
+    stacked = sol._ends[:, cols][moved.astype(int)]
     inside = moved & (t != sol.system.h)
     if inside.any():
-        stacked[inside] = sol.omega_table(t[inside])
+        stacked[inside] = sol.omega_table(t[inside], cols)
     return stacked
+
+
+def _propagators(sol, t):
+    """Blocks 1 and 2 of the state at the points ``t``, read row-major
+    from the leading columns, so each is the transpose of its block (see
+    :meth:`OmegaBlocks.from_stacked`): shape ``t.shape + (2, n, n)``."""
+    n = sol.op.n
+    end = _layout(n, sol.op.internal_dim)[1][2]
+    return _stacked_at(sol, t, slice(end)).reshape(np.shape(t) + (2, n, n))
 
 
 def _omega(sol, t):
@@ -335,14 +346,8 @@ def P_at(sol, tau):
         raise ValueError("tau=%r outside [-h, h] with h=%g"
                          % (float(tau[bad].flat[0]), h))
     a = np.minimum(a, h)
-    stacked = _stacked_at(sol, np.array([a, h - a]))
-    # only blocks 1 and 2 are read; a row-major read of block 2 is its
-    # transpose (see OmegaBlocks.from_stacked)
-    n = sol.op.n
-    off = _layout(n, sol.op.internal_dim)[1]
-    shape = tau.shape + (n, n)
-    P = 0.5 * (stacked[0, ..., off[0]:off[1]].reshape(shape).swapaxes(-1, -2)
-               + stacked[1, ..., off[1]:off[2]].reshape(shape))
+    R = _propagators(sol, np.array([a, h - a]))
+    P = 0.5 * (R[0, ..., 0, :, :].swapaxes(-1, -2) + R[1, ..., 1, :, :])
     if (tau < 0).any():
         P = np.where((tau < 0)[..., None, None], P.swapaxes(-1, -2), P)
     return P
@@ -366,7 +371,8 @@ def residual_dde(sol, taus=None, quad_tol=1e-10):
     and the convolution term integrates the kernel against ``P``, with the
     quadrature split at the kink crossing. ``P`` and the kernel come from
     the solution's tables, as in :func:`P_at`: every stencil point is read
-    in one call, and each quadrature rule in one more. Requires ``h > 0``.
+    in one call, and the two pieces of every lag are one batched
+    quadrature, each of whose rounds is one more. Requires ``h > 0``.
     """
     sys = sol.system
     h = sys.h
@@ -383,14 +389,14 @@ def residual_dde(sol, taus=None, quad_tol=1e-10):
     side = side[:, None, None]
     dP = np.where(side == 0, P_near - P_far,
                   side * (-3 * P + 4 * P_near - P_far)) / (2 * eps)
-    conv = np.zeros_like(P)
-    for i, tau in enumerate(taus):
-        def f(theta):
-            return P_at(sol, tau + theta) @ _kernel(sol, theta)
 
-        for lo, hi in ((-h, -tau), (-tau, 0.0)):
-            if hi > lo:
-                conv[i] += integrate(f, lo, hi, tol=quad_tol)
+    def f(theta, i):
+        return P_at(sol, taus[i // 2] + theta) @ _kernel(sol, theta)
+
+    # the pieces (-h, -tau) and (-tau, 0) of every lag in one batch
+    ends = np.stack([np.full_like(taus, -h), -taus, np.zeros_like(taus)], axis=1)
+    conv = integrate_batch(f, ends[:, :2].ravel(), ends[:, 1:].ravel(),
+                           tol=quad_tol).reshape((-1, 2) + P.shape[1:]).sum(axis=1)
     return linalg.maxabs(dP - (P @ sys.A0 + P_lag @ sys.A1 + conv))
 
 
@@ -421,36 +427,33 @@ def residual_collapsed(sol, taus=None, quad_tol=1e-10):
     Each of blocks 3 to 6 equals a finite convolution of the kernel with
     one propagator block; evaluating those integrals by quadrature and
     comparing confirms the collapsed internal dynamics. Both sides sample
-    the solution's tables, each quadrature rule in one read of each."""
+    the solution's tables; the four integrals of every lag are one batched
+    quadrature, each of whose rounds reads each table once."""
     h = sol.system.h
     taus = _grid(taus, h, 11)
     om = _omega(sol, taus)
 
-    def ker(theta):
-        return _kernel_factor(sol, theta)
+    # blocks 5 and 6 are compared transposed, so that every piece is a
+    # propagator block times the kernel factor, read at t + sign th + shift
+    want = np.stack([om.omega3, om.omega4, om.omega5.swapaxes(-1, -2),
+                     om.omega6.swapaxes(-1, -2)], axis=1)
+    sign, shift = np.array([1.0, 1.0, -1.0, -1.0]), np.array([0.0, h, -h, 0.0])
 
-    def ker_t(theta):
-        return ker(theta).swapaxes(-1, -2)
+    def f(th, i):
+        p = i % 4
+        R = _propagators(sol, taus[i // 4] + sign[p] * th + shift[p])
+        R = R[np.arange(th.size), p % 2]
+        # the blocks 3 and 4 integrate are the transposes of these reads
+        B = np.where((p < 2)[:, None, None], R.swapaxes(-1, -2), R)
+        return B @ _kernel_factor(sol, th)
 
-    worst = 0.0
-    for i, tau in enumerate(taus):
-        pieces = [
-            (om.omega3[i], -tau, 0.0,
-             lambda th, t=tau: _omega(sol, t + th).omega1 @ ker(th)),
-            (om.omega4[i], -h, -tau,
-             lambda th, t=tau: _omega(sol, t + th + h).omega2 @ ker(th)),
-            (om.omega5[i], -h, -h + tau,
-             lambda th, t=tau: ker_t(th) @ _omega(sol, t - th - h).omega1),
-            (om.omega6[i], -h + tau, 0.0,
-             lambda th, t=tau: ker_t(th) @ _omega(sol, t - th).omega2),
-        ]
-        for target, lo, hi, f in pieces:
-            if hi > lo:
-                val = integrate(f, lo, hi, tol=quad_tol)
-            else:
-                val = np.zeros_like(target)
-            worst = max(worst, linalg.maxabs(val - target))
-    return worst
+    if h == 0:  # every piece is empty, and no kernel table exists
+        return linalg.maxabs(want)
+    z, low = np.zeros_like(taus), np.full_like(taus, -h)
+    lo = np.stack([-taus, low, low, taus - h], axis=1).ravel()
+    hi = np.stack([z, -taus, taus - h, z], axis=1).ravel()
+    return linalg.maxabs(integrate_batch(f, lo, hi, tol=quad_tol).reshape(want.shape)
+                         - want)
 
 
 def flip_residuals(sol, taus=None):

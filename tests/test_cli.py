@@ -422,6 +422,26 @@ class TestInputErrors:
         assert main(["dump-config", "--config", cfg] + flags) == 3
         assert "input error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path, value, key", [
+        (("tau",), {"values": [0.0, 2.0]}, "tau values"),
+        (("system", "h"), 10 ** 400, "system.h"),
+        (("system", "A0"), [[-(10 ** 400), 0], [0, -1]], "system.A0"),
+        (("system", "A0"), [["-1", "0"], ["0", "-1"]], "system.A0"),
+        (("system", "A0"), [[-1.0, 0.0], [True, -1.0]], "system.A0"),
+    ], ids=["tau-values-beyond-h", "huge-int-scalar", "huge-int-matrix",
+            "string-entries", "bool-entry"])
+    def test_refused_while_parsing(self, tmp_path, capsys, path, value, key):
+        # dump-config solves nothing, so these are refused by parse_config
+        payload = json.loads((DEMO_CONFIGS / "example1.json").read_text())
+        section = payload
+        for name in path[:-1]:
+            section = section[name]
+        section[path[-1]] = value
+        cfg = write_config(tmp_path, payload)
+        assert main(["dump-config", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "input error" in err and key in err
+
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -83,3 +83,87 @@ def test_bad_arguments():
     # an integrand must return one value per node
     with pytest.raises(ValueError, match="integrand returned shape"):
         quadrature.fixed_quad(lambda x: np.ones((2, 2)), 0.0, 1.0)
+
+
+# cos(w x) and x sin(w x) on intervals that a lone ``integrate`` finishes
+# at 8, 16, 0 (empty) and 32 panels
+WAVES = np.array([10.0, 60.0, 0.0, 100.0])
+LOWER = np.array([-1.0, 0.0, 0.5, 0.2])
+UPPER = np.array([0.0, 1.0, 0.5, 1.2])
+
+
+def waves(x, w):
+    return np.stack([np.cos(w * x), x * np.sin(w * x)], axis=-1)
+
+
+def doubling_reference(f, a, b, tol=1e-10):
+    """The adaptive rule as a loop of fixed rules: value and final panels."""
+    if a == b:
+        return np.zeros_like(f(np.array([a]))[0]), 0
+    panels = quadrature.PANELS
+    coarse = quadrature.fixed_quad(f, a, b, panels)
+    while True:
+        panels *= 2
+        fine = quadrature.fixed_quad(f, a, b, panels)
+        if np.max(np.abs(fine - coarse)) < tol * max(1.0, np.max(np.abs(fine))):
+            return fine, panels
+        coarse = fine
+
+
+def test_batch_matches_lone_integrals():
+    nodes = []  # per integrand call, the node count of each interval
+
+    def f(x, i):
+        nodes.append(np.bincount(i, minlength=WAVES.size))
+        return waves(x, WAVES[i])
+
+    got = quadrature.integrate_batch(f, LOWER, UPPER)
+    assert got.shape == (4, 2)
+    panels = np.max(nodes, axis=0) // quadrature.ORDER
+    assert panels.tolist() == [8, 16, 0, 32]
+    for j, w in enumerate(WAVES):
+        sizes = []
+
+        def lone(x):
+            sizes.append(x.size)
+            return waves(x, w)
+
+        want = quadrature.integrate(lone, LOWER[j], UPPER[j])
+        assert max(sizes) // quadrature.ORDER == panels[j]
+        assert_allclose(got[j], want, rtol=1e-15, atol=0)
+        ref, ref_panels = doubling_reference(lone, LOWER[j], UPPER[j])
+        assert np.array_equal(want, ref) and ref_panels == panels[j]
+    assert np.array_equal(got[2], [0.0, 0.0])
+
+
+def test_batch_names_the_interval_that_fails():
+    def f(x, i):
+        return np.where(i == 1, np.abs(x) ** -0.5, np.cos(x))
+
+    with pytest.raises(RuntimeError,
+                       match=r"on \[0, 1\].*last change .* at 64 panels, tol=1e-14"):
+        quadrature.integrate_batch(f, [-1.0, 0.0, 2.0], [0.0, 1.0, 3.0],
+                                   tol=1e-14, max_panels=64)
+
+
+def test_empty_batch_gives_zeros_of_the_value_shape():
+    got = quadrature.integrate_batch(lambda x, i: np.ones((x.size, 2, 3)),
+                                     [1.0, 2.0], [1.0, 2.0])
+    assert np.array_equal(got, np.zeros((2, 2, 3)))
+
+
+def test_rule_is_built_once_per_order(monkeypatch):
+    built = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(order):
+        built.append(order)
+        return leggauss(order)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    quadrature._rule.cache_clear()
+    quadrature.integrate(np.exp, 0.0, 3.0, tol=1e-12)
+    quadrature.integrate_batch(lambda x, i: waves(x, WAVES[i]), LOWER, UPPER)
+    for panels in (1, 4, 9):
+        quadrature.fixed_quad(np.sin, 0.0, 1.0, panels=panels, order=7)
+    assert sorted(built) == [7, 10]

@@ -19,7 +19,7 @@ from delaylyap import (
     solve,
     solve_boundary,
 )
-from delaylyap import linalg, solver
+from delaylyap import linalg, quadrature, solver
 from delaylyap.cli import VALIDATION_BOUNDS
 from delaylyap.solver import OmegaBlocks, _layout
 
@@ -422,8 +422,9 @@ class TestPropagationTable:
         assert "kernel_table" not in vars(sol)
 
     def test_residual_report_reads_in_batches(self, monkeypatch):
-        # each quadrature rule reads the tables once for all of its nodes;
-        # one read per node took 7,668 P_at and 24,787 table calls
+        # each round of each residual's quadrature reads the tables once for
+        # the nodes of all of its integrals; one read per node took 7,668
+        # P_at and 24,787 table calls, one read per rule 84 and 327
         calls = {"P_at": 0, "table": 0}
         P_at_one, read_one = solver.P_at, linalg.ExpmTable.__call__
 
@@ -431,16 +432,60 @@ class TestPropagationTable:
             calls["P_at"] += 1
             return P_at_one(sol, tau)
 
-        def read_counted(table, t):
+        def read_counted(table, *args):
             calls["table"] += 1
-            return read_one(table, t)
+            return read_one(table, *args)
 
         monkeypatch.setattr(solver, "P_at", P_at_counted)
         monkeypatch.setattr(linalg.ExpmTable, "__call__", read_counted)
         sys, weight = benchmark_system()
         residual_report(solve(sys, weight))
-        assert 0 < calls["P_at"] <= 500
-        assert 0 < calls["table"] <= 500
+        assert 0 < calls["P_at"] <= 6
+        assert 0 < calls["table"] <= 15
+
+    def test_residual_work_counts(self, monkeypatch):
+        # per residual function: its integrand calls (the quadrature rounds),
+        # its table reads, and the panels of every integral it computes
+        counts = {}
+        current = [None]
+
+        def count(key, n=1):
+            counts.setdefault(current[0], {"calls": 0, "reads": 0, "panels": 0})
+            counts[current[0]][key] += n
+
+        read_one, rule_sums = linalg.ExpmTable.__call__, quadrature._rule_sums
+
+        def read_counted(table, *args):
+            count("reads")
+            return read_one(table, *args)
+
+        def rule_sums_counted(f, a, b, panels, order=quadrature.ORDER):
+            count("calls")
+            count("panels", panels * len(a))
+            return rule_sums(f, a, b, panels, order)
+
+        monkeypatch.setattr(linalg.ExpmTable, "__call__", read_counted)
+        monkeypatch.setattr(quadrature, "_rule_sums", rule_sums_counted)
+        for name in ("residual_dde", "residual_collapsed", "residual_algebraic"):
+            def tagged(*args, _fn=getattr(solver, name), _name=name, **kwargs):
+                current[0] = _name
+                try:
+                    return _fn(*args, **kwargs)
+                finally:
+                    current[0] = None
+            monkeypatch.setattr(solver, name, tagged)
+        sys, weight = benchmark_system()
+        residual_report(solve(sys, weight))
+        # every one of the 40 dde, 40 collapsed and 1 algebraic integrals
+        # refines from 4 to 8 panels (972 panels in all), in 2 rounds of 2
+        # table reads each; the lone reads are the stencil points, the
+        # compared blocks and the flip residuals
+        assert counts == {
+            "residual_dde": {"calls": 2, "reads": 5, "panels": 40 * 12},
+            "residual_collapsed": {"calls": 2, "reads": 5, "panels": 40 * 12},
+            "residual_algebraic": {"calls": 2, "reads": 4, "panels": 12},
+            None: {"calls": 0, "reads": 1, "panels": 0},
+        }
 
     def test_residuals_check_the_served_table(self):
         # P_at and the residuals must read the same table: corrupting it
