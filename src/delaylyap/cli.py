@@ -116,25 +116,30 @@ def _spectrum_dict(report):
     }
 
 
+def _verdict_exit(report):
+    """Exit code of a solvability verdict."""
+    return {spectrum.VIOLATED: EXIT_VIOLATED,
+            spectrum.BORDERLINE: EXIT_BORDERLINE}.get(report.verdict, EXIT_OK)
+
+
 def _solve_from_config(cfg):
-    sys_ = config_mod.build_system(cfg)
-    weight = config_mod.build_weight(cfg)
-    op = solver.assemble(sys_)
+    """The solution of a parsed configuration and the seconds its boundary
+    solve took."""
+    op = solver.assemble(config_mod.build_system(cfg))
     t0 = time.perf_counter()
     sol = solver.solve_boundary(
-        op, weight,
+        op, config_mod.build_weight(cfg),
         hard=cfg["tolerances"]["singular"],
         borderline=cfg["tolerances"]["borderline"],
     )
-    elapsed = time.perf_counter() - t0
-    return sys_, weight, op, sol, elapsed
+    return sol, time.perf_counter() - t0
 
 
-def _report_lines(sys_, sol, residuals):
+def _report_lines(sol, residuals):
     lines = [
         "state dimension n=%d, kernel internal dimension nd=%d, stacked size ns=%d"
-        % (sys_.n, sys_.internal_dim, sol.op.ns),
-        "delay h=%.17g" % sys_.h,
+        % (sol.op.n, sol.op.internal_dim, sol.op.ns),
+        "delay h=%.17g" % sol.system.h,
         "solvability: %s (sigma_min=%.6e, relative=%.6e)"
         % (sol.spectrum.verdict, sol.spectrum.sigma_min, sol.spectrum.relative),
     ]
@@ -151,7 +156,7 @@ def _report_lines(sys_, sol, residuals):
 
 def cmd_solve(args):
     cfg = _load(args)
-    sys_, weight, op, sol, elapsed = _solve_from_config(cfg)
+    sol, elapsed = _solve_from_config(cfg)
     taus = config_mod.tau_grid(cfg)
     mats = solver.P_at(sol, taus)
     residuals = solver.residual_report(sol, quad_tol=cfg["tolerances"]["quadrature"])
@@ -159,10 +164,10 @@ def cmd_solve(args):
     _write_p_csv(out / "P_tau.csv", taus, mats)
     summary = {
         "command": "solve",
-        "n": sys_.n,
-        "internal_dim": sys_.internal_dim,
+        "n": sol.op.n,
+        "internal_dim": sol.op.internal_dim,
         "ns": sol.op.ns,
-        "h": sys_.h,
+        "h": sol.system.h,
         "spectrum": _spectrum_dict(sol.spectrum),
         "residuals": residuals,
         "P0": _matrix_list(solver.P_at(sol, 0.0)),
@@ -170,14 +175,13 @@ def cmd_solve(args):
         "solve_seconds": elapsed,
     }
     _write_json(out / "summary.json", summary)
-    lines = _report_lines(sys_, sol, residuals)
+    lines = _report_lines(sol, residuals)
     lines.append("wrote %d rows to %s" % (len(taus), out / "P_tau.csv"))
     (out / "report.txt").write_text("\n".join(lines) + "\n")
     _say(args, "\n".join(lines))
     if sol.spectrum.verdict == spectrum.BORDERLINE:
         _say(args, "warning: solvability is borderline")
-        return EXIT_BORDERLINE
-    return EXIT_OK
+    return _verdict_exit(sol.spectrum)
 
 
 def cmd_check(args):
@@ -198,16 +202,13 @@ def cmd_check(args):
         _write_json(out / "summary.json",
                     {"command": "check", "ns": op.ns,
                      "spectrum": _spectrum_dict(report)})
-    if report.verdict == spectrum.VIOLATED:
-        return EXIT_VIOLATED
-    if report.verdict == spectrum.BORDERLINE:
-        return EXIT_BORDERLINE
-    return EXIT_OK
+    return _verdict_exit(report)
 
 
 def cmd_validate(args):
     cfg = _load(args)
-    sys_, weight, op, sol, elapsed = _solve_from_config(cfg)
+    sol, _ = _solve_from_config(cfg)
+    sys_, weight = sol.system, sol.weight
     tol = cfg["tolerances"]
     T, dt = cfg["simulation"]["T"], cfg["simulation"]["dt"]
     out = _outdir(args)
@@ -277,16 +278,12 @@ def cmd_validate(args):
         else:
             _say(args, "%s %-28s %s" % (tag, c["check"], c.get("note", "")))
     _say(args, "validation %s" % ("passed" if ok else "FAILED"))
-    if not ok:
-        return EXIT_NUMERICAL
-    if sol.spectrum.verdict == spectrum.BORDERLINE:
-        return EXIT_BORDERLINE
-    return EXIT_OK
+    return _verdict_exit(sol.spectrum) if ok else EXIT_NUMERICAL
 
 
 def cmd_sample(args):
     cfg = _load(args)
-    sys_, weight, op, sol, _ = _solve_from_config(cfg)
+    sol, _ = _solve_from_config(cfg)
     if args.tau:
         try:
             taus = [float(v) for v in args.tau.split(",") if v.strip() != ""]
@@ -301,9 +298,7 @@ def cmd_sample(args):
         print(line)
     if args.out:
         _write_p_csv(_outdir(args) / "P_tau.csv", taus, mats)
-    if sol.spectrum.verdict == spectrum.BORDERLINE:
-        return EXIT_BORDERLINE
-    return EXIT_OK
+    return _verdict_exit(sol.spectrum)
 
 
 def cmd_dump_config(args):

@@ -11,6 +11,7 @@ kernel through :func:`zero_kernel`.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -117,18 +118,34 @@ class TimeDelaySystem:
     def internal_dim(self):
         return self.Ad.shape[0]
 
+    @cached_property
+    def kernel_table(self):
+        """Table of ``expm(-Ad s)`` on ``[0, h]``, built on first use."""
+        return linalg.ExpmTable(-self.Ad, self.h, np.eye(self.internal_dim))
+
 
 def validate(sys):
     """Re-run all well-formedness checks on an existing system."""
     return check_matrices(sys.A0, sys.A1, sys.Ad, sys.Bd, sys.Cd, sys.h)
 
 
+def kernel_exp(sys, theta):
+    """``expm(Ad theta)`` at the points ``theta`` of ``[-h, 0]``, stacked on
+    their axes, from one read of the system's table of ``expm(-Ad s)``. A
+    system with ``h = 0`` builds no table: its only point gives the
+    identity."""
+    theta = np.asarray(theta, dtype=float)
+    if sys.h == 0:
+        return np.broadcast_to(np.eye(sys.internal_dim), theta.shape + sys.Ad.shape)
+    return sys.kernel_table(-theta)
+
+
 def kernel_at(sys, theta):
     """Evaluate the distributed-delay kernel ``Cd expm(Ad theta) Bd``.
 
     ``theta`` must lie in ``[-h, 0]`` up to a small slack. A scalar gives
-    ``(n, n)``; an array gives the kernels stacked on its axes, one
-    exponential per point.
+    ``(n, n)``; an array gives the kernels stacked on its axes, from one
+    call of :func:`kernel_exp`.
     """
     theta = np.asarray(theta, dtype=float)
     slack = 1e-12 * max(1.0, sys.h)
@@ -138,9 +155,7 @@ def kernel_at(sys, theta):
             "kernel argument %g outside [-h, 0] with h=%g"
             % (theta[bad].flat[0], sys.h)
         )
-    theta = np.clip(theta, -sys.h, 0.0)
-    E = np.array([linalg.expm(sys.Ad, th) for th in theta.ravel()])
-    return sys.Cd @ E.reshape(theta.shape + sys.Ad.shape) @ sys.Bd
+    return sys.Cd @ kernel_exp(sys, np.clip(theta, -sys.h, 0.0)) @ sys.Bd
 
 
 @dataclass(frozen=True, eq=False)

@@ -36,8 +36,8 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .model import kernel_at
-from .quadrature import integrate
+from .model import kernel_at, kernel_exp
+from .quadrature import integrate, integrate_batch
 
 POINT_MASS = "point_mass"
 SAMPLES = "samples"
@@ -67,6 +67,8 @@ class HistorySpec:
         x0 = np.asarray(x0, dtype=float)
         if x0.ndim != 1 or x0.size == 0:
             raise ValueError("x0 must be a nonempty vector")
+        if not np.isfinite(x0).all():
+            raise ValueError("x0 contains non-finite entries")
         return cls(POINT_MASS, x0.size, x0=x0)
 
     @classmethod
@@ -75,6 +77,8 @@ class HistorySpec:
         values = np.asarray(values, dtype=float)
         if thetas.ndim != 1 or thetas.size < 2:
             raise ValueError("need at least two history samples")
+        if not (np.isfinite(thetas).all() and np.isfinite(values).all()):
+            raise ValueError("history samples contain non-finite entries")
         if np.any(np.diff(thetas) <= 0):
             raise ValueError("history sample times must be strictly increasing")
         if thetas[-1] != 0.0:
@@ -135,8 +139,7 @@ class HistorySpec:
             return np.zeros((nd, self.columns))
 
         def f(theta):
-            E = np.array([linalg.expm(sys.Ad, th) for th in theta])
-            return E @ sys.Bd @ self._spline(theta)[..., None]
+            return kernel_exp(sys, theta) @ sys.Bd @ self._spline(theta)[..., None]
 
         return integrate(f, -sys.h, 0.0, tol=1e-12)
 
@@ -217,24 +220,18 @@ class Trajectory:
 def _resolve_step(h, T, dt):
     if not np.isfinite(T) or T <= 0:
         raise ValueError("horizon T must be positive, got %r" % T)
+    if dt is not None and not 0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite, got %r" % dt)
+    m = 0
     if h > 0:
-        if dt is None:
-            m = 64
-        else:
-            if dt <= 0:
-                raise ValueError("dt must be positive")
-            m = int(round(h / dt))
-            if m < 20 or abs(m * dt - h) > 1e-9 * h:
-                raise ValueError(
-                    "dt must be h/m for an integer m >= 20; got dt=%g, h=%g" % (dt, h)
-                )
+        m = 64 if dt is None else int(round(h / dt))
+        if dt is not None and (m < 20 or abs(m * dt - h) > 1e-9 * h):
+            raise ValueError(
+                "dt must be h/m for an integer m >= 20; got dt=%g, h=%g" % (dt, h)
+            )
         dt = h / m
-    else:
-        m = 0
-        if dt is None:
-            dt = T / 2048
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+    elif dt is None:
+        dt = T / 2048
     steps = int(math.ceil(T / dt - 1e-9))
     return dt, m, max(steps, 1)
 
@@ -501,6 +498,8 @@ def oracle_P(sys, weight, tau, T=None, dt=None, tail_tol=1e-5):
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
     if taus.ndim != 1 or taus.size == 0:
         raise ValueError("tau must be a lag or a nonempty 1-d sequence of lags")
+    if not np.isfinite(taus).all():
+        raise ValueError("tau contains non-finite lags")
     lags = np.abs(taus)
     Q = weight.matrix
     if Q.shape[0] != sys.n:
@@ -547,63 +546,53 @@ def equation_residual(sys, traj, times=None, quad_tol=1e-8):
     K = traj.steps
 
     def clear_of_kinks(i):
-        if i < 2 or i > K - 2 or i * dt < h:
-            return False
-        if h == 0:
-            return True
-        j = 0
-        while j * h <= T + dt:
-            if abs(i * dt - j * h) < 2.5 * dt:
-                return False
-            j += 1
-        return True
+        # clear means at least 2.5 steps from the nearest multiple of h
+        ok = (i >= 2) & (i <= K - 2) & (i * dt >= h)
+        if h > 0:
+            ok &= np.abs(i * dt - np.rint(i * dt / h) * h) >= 2.5 * dt
+        return ok
 
     if times is None:
         lo = max(h, 0.0) + 3 * dt
         hi = T - 3 * dt
         if hi <= lo:
             raise ValueError("trajectory too short for a residual check")
-        idx = []
-        for t in np.linspace(lo, hi, 12):
-            i = int(round(t / dt))
-            while i <= K - 2 and not clear_of_kinks(i):
-                i += 1
-            if clear_of_kinks(i) and i not in idx:
-                idx.append(i)
-        if len(idx) < 3:
+        # each of 12 evenly spaced times moves forward to the next clear step
+        good = np.flatnonzero(clear_of_kinks(np.arange(K + 1)))
+        at = np.searchsorted(good, np.rint(np.linspace(lo, hi, 12) / dt))
+        idx = np.unique(good[at[at < good.size]])
+        if idx.size < 3:
             raise ValueError("could not place residual check times")
     else:
-        idx = [int(round(t / dt)) for t in times]
-        for i in idx:
-            if not clear_of_kinks(i):
-                raise ValueError(
-                    "check time %g is too close to a discontinuity or an end"
-                    % (i * dt)
-                )
+        times = np.asarray(times, dtype=float).ravel()
+        if times.size == 0:
+            raise ValueError("no check times given")
+        if not np.isfinite(times).all():
+            raise ValueError("check times must be finite")
+        idx = np.rint(times / dt).astype(int)
+        bad = ~clear_of_kinks(idx)
+        if bad.any():
+            raise ValueError(
+                "check time %g is too close to a discontinuity or an end"
+                % (idx[bad][0] * dt)
+            )
 
-    worst = 0.0
-    for i in idx:
-        t = i * dt
-        dx = (traj.xs[i - 2] - 8 * traj.xs[i - 1]
-              + 8 * traj.xs[i + 1] - traj.xs[i + 2]) / (12 * dt)
-        delayed = traj.xs[i - int(round(h / dt))] if h > 0 else traj.xs[i]
+    xs = traj.xs
+    dx = (xs[idx - 2] - 8 * xs[idx - 1] + 8 * xs[idx + 1] - xs[idx + 2]) / (12 * dt)
+    delayed = xs[idx - int(round(h / dt))] if h > 0 else xs[idx]
+    rhs = (np.einsum("ij,kj...->ki...", sys.A0, xs[idx])
+           + np.einsum("ij,kj...->ki...", sys.A1, delayed))
+    if h > 0:
+        t = idx * dt
 
-        def f(theta):
+        def f(theta, i):
             return np.einsum("kij,kj...->ki...", kernel_at(sys, theta),
-                             traj.x_at(t + theta))
+                             traj.x_at(t[i // 2] + theta))
 
-        conv = np.zeros_like(traj.xs[i])
-        if h > 0:
-            cuts = [-h]
-            j = int(math.ceil((t - h) / h))
-            while j * h < t:
-                if t - h < j * h:
-                    cuts.append(j * h - t)
-                j += 1
-            cuts.append(0.0)
-            for lo_c, hi_c in zip(cuts[:-1], cuts[1:]):
-                if hi_c > lo_c + 1e-14:
-                    conv = conv + integrate(f, lo_c, hi_c, tol=quad_tol)
-        rhs = sys.A0 @ traj.xs[i] + sys.A1 @ delayed + conv
-        worst = max(worst, linalg.maxabs(dx - rhs))
-    return worst
+        # two pieces per time, split where t + theta crosses the multiple
+        # of h inside (t - h, t)
+        cut = np.floor(t / h) * h - t
+        ends = np.stack([np.full_like(t, -h), cut, np.zeros_like(t)], axis=1)
+        conv = integrate_batch(f, ends[:, :2].ravel(), ends[:, 1:].ravel(), tol=quad_tol)
+        rhs = rhs + conv.reshape((-1, 2) + rhs.shape[1:]).sum(axis=1)
+    return linalg.maxabs(dx - rhs)

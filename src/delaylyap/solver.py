@@ -17,9 +17,10 @@ linear system in ``G = F1 + F2 expm(E h)`` for ``omega(0)``: one SVD of
 ``omega(h)`` reuses that exponential. Inside the interval a solution
 propagates ``omega(0)`` once, into a :class:`~delaylyap.linalg.ExpmTable`
 of ``expm(E tau) omega(0)`` on ``[0, h]``, and every value of the Lyapunov
-matrix, and of the kernel, that :func:`P_at` and the residual checks use
-is sampled from that table or from the kernel's table of ``expm(-Ad s)``.
-:func:`evaluate_omega` keeps the direct exponential as a reference.
+matrix that :func:`P_at` and the residual checks use is sampled from that
+table; the kernel comes from :func:`delaylyap.model.kernel_exp`, the
+system's own table of ``expm(-Ad s)``. :func:`evaluate_omega` keeps the
+direct exponential as a reference.
 
 Evaluation takes arrays: :func:`P_at`, the kernel and the stacked state
 accept an array of points and return the values stacked on its axes, so
@@ -46,6 +47,7 @@ import numpy as np
 from . import linalg
 from . import spectrum as spectrum_mod
 from .linalg import vec
+from .model import kernel_at, kernel_exp
 from .quadrature import integrate, integrate_batch
 
 
@@ -191,11 +193,10 @@ class LyapunovSolution:
     """Boundary solve outcome: initial state plus everything needed to
     propagate it.
 
-    The state at ``tau = h`` and the two tables are built on first use and
-    kept: ``omega_table`` samples ``expm(E tau) omega0`` and
-    ``kernel_table`` samples ``expm(-Ad s)``, both on ``[0, h]``. Only
-    interior points need a table, so a system with ``h = 0``, or a caller
-    that asks for ``P(0)`` and ``P(h)`` alone, never builds one.
+    The state at ``tau = h`` and ``omega_table``, which samples ``expm(E
+    tau) omega0`` on ``[0, h]``, are built on first use and kept. Only
+    interior points need the table, so a system with ``h = 0``, or a
+    caller that asks for ``P(0)`` and ``P(h)`` alone, never builds it.
     """
 
     system: object
@@ -218,11 +219,6 @@ class LyapunovSolution:
     @cached_property
     def omega_table(self):
         return linalg.ExpmTable(self.op.E, self.system.h, self.omega0.stacked)
-
-    @cached_property
-    def kernel_table(self):
-        return linalg.ExpmTable(-self.system.Ad, self.system.h,
-                                np.eye(self.system.internal_dim))
 
 
 def solve_boundary(op, weight,
@@ -312,17 +308,6 @@ def _omega(sol, t):
                                     sol.op.internal_dim)
 
 
-def _kernel_factor(sol, theta):
-    """``Cd expm(Ad theta)`` at the points ``theta`` of ``[-h, 0]``."""
-    return sol.system.Cd @ sol.kernel_table(-np.asarray(theta))
-
-
-def _kernel(sol, theta):
-    """The kernel ``Cd expm(Ad theta) Bd`` at the points ``theta`` of
-    ``[-h, 0]``."""
-    return _kernel_factor(sol, theta) @ sol.system.Bd
-
-
 def P_at(sol, tau):
     """Delay Lyapunov matrix at ``tau``, for ``|tau| <= h``.
 
@@ -369,10 +354,11 @@ def residual_dde(sol, taus=None, quad_tol=1e-10):
     The derivative is approximated with second-order difference stencils
     (one-sided near both endpoints, keeping clear of the reflection kink)
     and the convolution term integrates the kernel against ``P``, with the
-    quadrature split at the kink crossing. ``P`` and the kernel come from
-    the solution's tables, as in :func:`P_at`: every stencil point is read
-    in one call, and the two pieces of every lag are one batched
-    quadrature, each of whose rounds is one more. Requires ``h > 0``.
+    quadrature split at the kink crossing. ``P`` comes from the solution's
+    table, as in :func:`P_at`, and the kernel from the system's: every
+    stencil point is read in one call, and the two pieces of every lag are
+    one batched quadrature, each of whose rounds is one more. Requires
+    ``h > 0``.
     """
     sys = sol.system
     h = sys.h
@@ -391,7 +377,7 @@ def residual_dde(sol, taus=None, quad_tol=1e-10):
                   side * (-3 * P + 4 * P_near - P_far)) / (2 * eps)
 
     def f(theta, i):
-        return P_at(sol, taus[i // 2] + theta) @ _kernel(sol, theta)
+        return P_at(sol, taus[i // 2] + theta) @ kernel_at(sys, theta)
 
     # the pieces (-h, -tau) and (-tau, 0) of every lag in one batch
     ends = np.stack([np.full_like(taus, -h), -taus, np.zeros_like(taus)], axis=1)
@@ -408,7 +394,7 @@ def residual_algebraic(sol, quad_tol=1e-10):
     P0, Ph = P_at(sol, [0.0, sys.h])
 
     def f(theta):
-        K = _kernel(sol, theta)
+        K = kernel_at(sys, theta)
         P_minus, P_plus = P_at(sol, np.stack([-theta, theta]))
         return K.swapaxes(-1, -2) @ P_minus + P_plus @ K
 
@@ -427,8 +413,9 @@ def residual_collapsed(sol, taus=None, quad_tol=1e-10):
     Each of blocks 3 to 6 equals a finite convolution of the kernel with
     one propagator block; evaluating those integrals by quadrature and
     comparing confirms the collapsed internal dynamics. Both sides sample
-    the solution's tables; the four integrals of every lag are one batched
-    quadrature, each of whose rounds reads each table once."""
+    the solution's table, the integrals also the system's kernel table;
+    the four integrals of every lag are one batched quadrature, each of
+    whose rounds reads each table once."""
     h = sol.system.h
     taus = _grid(taus, h, 11)
     om = _omega(sol, taus)
@@ -445,9 +432,9 @@ def residual_collapsed(sol, taus=None, quad_tol=1e-10):
         R = R[np.arange(th.size), p % 2]
         # the blocks 3 and 4 integrate are the transposes of these reads
         B = np.where((p < 2)[:, None, None], R.swapaxes(-1, -2), R)
-        return B @ _kernel_factor(sol, th)
+        return B @ (sol.system.Cd @ kernel_exp(sol.system, th))
 
-    if h == 0:  # every piece is empty, and no kernel table exists
+    if h == 0:  # every piece is empty
         return linalg.maxabs(want)
     z, low = np.zeros_like(taus), np.full_like(taus, -h)
     lo = np.stack([-taus, low, low, taus - h], axis=1).ravel()

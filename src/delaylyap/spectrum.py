@@ -11,8 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from . import quadrature
-from .model import kernel_at
 
 HARD_THRESHOLD = 1e-12
 BORDERLINE_THRESHOLD = 1e-8
@@ -82,27 +80,17 @@ def characteristic_matrix(sys, lam):
     """Characteristic matrix ``lam I - A0 - e^(-lam h) A1 - L(lam)``.
 
     ``L`` is the Laplace-type transform of the kernel over ``[-h, 0]``,
-    evaluated in closed form through the kernel's internal dynamics. When
-    ``lam I + Ad`` is near singular the transform falls back to adaptive
-    quadrature of ``e^(lam theta) K(theta)``.
+    ``Cd (int_0^h expm(-M s) ds) Bd`` with ``M = lam I + Ad``. The integral
+    is the top-right block of ``expm([[-M, I], [0, 0]] h)`` (Van Loan, IEEE
+    TAC 23, 1978), which needs no inverse of ``M`` and so holds for every
+    ``lam``.
     """
     lam = complex(lam)
-    n = sys.n
     nd = sys.internal_dim
-    M = lam * np.eye(nd) + sys.Ad
-    if linalg.smallest_singular_value(M) >= 1e-10:
-        inner = np.linalg.solve(M, np.eye(nd) - linalg.expm(-M, sys.h))
-        transform = sys.Cd @ inner @ sys.Bd
-    elif sys.h == 0:
-        transform = np.zeros((n, n), dtype=complex)
-    else:
-        def integrand(theta):
-            f = np.exp(lam * theta)[:, None, None] * kernel_at(sys, theta)
-            return np.stack([f.real, f.imag], axis=1)
-
-        parts = quadrature.integrate(integrand, -sys.h, 0.0, tol=1e-12)
-        transform = parts[0] + 1j * parts[1]
-    return lam * np.eye(n) - sys.A0 - np.exp(-lam * sys.h) * sys.A1 - transform
+    Z = np.block([[-(lam * np.eye(nd) + sys.Ad), np.eye(nd)],
+                  [np.zeros((nd, 2 * nd))]])
+    transform = sys.Cd @ linalg.expm(Z, sys.h)[:nd, nd:] @ sys.Bd
+    return lam * np.eye(sys.n) - sys.A0 - np.exp(-lam * sys.h) * sys.A1 - transform
 
 
 def characteristic_value(sys, lam):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,9 +12,10 @@ from delaylyap import (
     validate,
     zero_kernel,
 )
+from delaylyap import linalg
 from delaylyap.model import check_matrices
 
-from systems import benchmark_sincos_pieces, benchmark_system
+from systems import benchmark_sincos_pieces, benchmark_system, random_stable_system
 
 
 class TestTimeDelaySystem:
@@ -87,6 +90,28 @@ class TestKernelAt:
         B0, B1, _ = benchmark_sincos_pieces()
         assert_allclose(kernel_at(sys, 0.0), B1, atol=1e-14)
         assert_allclose(kernel_at(sys, -0.5), -B0, atol=1e-13)
+
+    @pytest.mark.parametrize("seed", [None, 0, 3, "h=0"])
+    def test_one_exponential_per_system(self, seed, monkeypatch):
+        if seed == "h=0":  # no table: the only point gives Cd Bd
+            sys = dataclasses.replace(benchmark_system()[0], h=0.0)
+        else:
+            sys = benchmark_system()[0] if seed is None else random_stable_system(seed, 3, 3)
+        thetas = np.linspace(-sys.h, 0.0, 50)
+        want = np.array([sys.Cd @ linalg.expm(sys.Ad, th) @ sys.Bd for th in thetas])
+        calls = []
+        expm = linalg.expm
+
+        def counting(*args):
+            calls.append(args)
+            return expm(*args)
+
+        monkeypatch.setattr(linalg, "expm", counting)
+        got = kernel_at(sys, thetas)
+        assert len(calls) <= 1
+        kernel_at(sys, thetas[::-1])
+        assert len(calls) <= 1
+        assert_allclose(got, want, rtol=0, atol=1e-14)
 
     def test_zero_kernel(self):
         Ad, Bd, Cd = zero_kernel(3, internal_dim=2)

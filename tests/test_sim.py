@@ -420,6 +420,15 @@ class TestEquationResidual:
         with pytest.raises(ValueError):
             equation_residual(sys, traj, times=[2.0])
 
+    @pytest.mark.parametrize("times, reason", [([], "no check times"),
+                                               ([3.3, np.nan], "finite")])
+    def test_empty_or_non_finite_times_rejected(self, times, reason):
+        # an empty check used to return 0.0, a pass that checked nothing
+        sys, _ = benchmark_system()
+        traj = simulate(sys, HistorySpec.point_mass([1.0, 0.0]), 6.0)
+        with pytest.raises(ValueError, match=reason):
+            equation_residual(sys, traj, times=times)
+
     def test_short_trajectory_rejected(self):
         sys, _ = benchmark_system()
         traj = simulate(sys, HistorySpec.point_mass([1.0, 0.0]), 1.0)
@@ -674,3 +683,32 @@ def test_oracles_share_no_code_with_the_boundary_route():
     assert not {"solver", "spectrum"} & _imported_modules(sim)
     for module in (solver, spectrum):
         assert "sim" not in _imported_modules(module)
+
+
+def test_spectrum_imports_linalg_alone():
+    # the characteristic matrix is a closed form, with no quadrature and
+    # no kernel evaluator of its own
+    import pkgutil
+
+    import delaylyap
+    from delaylyap import spectrum
+
+    package = {m.name for m in pkgutil.iter_modules(delaylyap.__path__)}
+    assert package & _imported_modules(spectrum) == {"linalg"}
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda sys, w: HistorySpec.point_mass([np.nan, 0.0]), "x0"),
+    (lambda sys, w: HistorySpec.from_samples([-1.0, 0.0], [[0.0, 1.0], [np.inf, 0.0]]),
+     "history samples"),
+    (lambda sys, w: simulate(sys, HistorySpec.point_mass([1.0, 0.0]), 2.0,
+                             dt=np.nan), "dt"),
+    (lambda sys, w: simulate(scalar_decay(h=0.0)[0], HistorySpec.point_mass([1.0]),
+                             2.0, dt=np.nan), "dt"),
+    (lambda sys, w: oracle_P(sys, w, [np.nan]), "tau"),
+], ids=["history-x0", "history-samples", "simulate-dt", "simulate-dt-no-delay",
+        "oracle-tau"])
+def test_non_finite_inputs_are_refused(call, name):
+    sys, weight = benchmark_system()
+    with pytest.raises(ValueError, match=name):
+        call(sys, weight)

@@ -391,7 +391,7 @@ class TestPropagationTable:
         for tau in (0.0, sys.h):
             assert np.array_equal(P_at(sol, tau), P_by_expm(sol, tau))
         assert "omega_table" not in vars(sol)
-        assert "kernel_table" not in vars(sol)
+        assert "kernel_table" not in vars(sys)
 
     def test_table_is_built_once(self, monkeypatch):
         built = []
@@ -419,7 +419,7 @@ class TestPropagationTable:
         report = residual_report(sol)
         assert report["algebraic"] <= 1e-12
         assert "omega_table" not in vars(sol)
-        assert "kernel_table" not in vars(sol)
+        assert "kernel_table" not in vars(sys)
 
     def test_residual_report_reads_in_batches(self, monkeypatch):
         # each round of each residual's quadrature reads the tables once for

@@ -107,7 +107,8 @@ class TestCharacteristicFunction:
     def test_closed_form_matches_quadrature(self):
         # independent route: integrate the kernel transform numerically
         sys, _ = benchmark_system()
-        for lam in (0.3, -0.8 + 1.1j, 2.0j, -1.5 - 0.4j):
+        # i pi is minus an eigenvalue of Ad, where lam I + Ad is singular
+        for lam in (0.3, -0.8 + 1.1j, 2.0j, -1.5 - 0.4j, 1j * np.pi):
             def transformed(theta, lam=lam):
                 K = sys.Cd @ (np.cos(np.pi * theta) * np.eye(2)
                               + np.sin(np.pi * theta)
@@ -128,8 +129,9 @@ class TestCharacteristicFunction:
             assert_allclose(got, expected, atol=1e-8)
 
     def test_singular_internal_shift_falls_back(self):
-        # lam at minus an internal eigenvalue makes the closed form break;
-        # the value must stay finite and continuous there
+        # lam at minus an internal eigenvalue makes lam I + Ad singular; the
+        # block-exponential form inverts nothing, so the value must stay
+        # finite and continuous there
         sys, _ = benchmark_system()
         lam0 = 1j * np.pi
         v0 = characteristic_value(sys, lam0)
