@@ -6,9 +6,10 @@ stacks columns, so ``vec(A X B) = kron(B.T, A) vec(X)``.
 Everything here runs on numpy alone. :func:`expm` is the scaling and
 squaring method with diagonal Pade approximants of Higham (SIMAX 26, 2005),
 with the degree and scaling chosen from norms of matrix powers as in
-Al-Mohy & Higham (SIMAX 31, 2009); :class:`ExpmTable` samples one
-exponential's action on an interval by truncated Taylor steps, and
-:func:`smallest_singular_value` is one LAPACK SVD without vectors.
+Al-Mohy & Higham (SIMAX 31, 2009); :class:`ExpmTable` samples the action
+of an exponential on an interval by truncated Taylor series, from products
+with the matrix alone, and :func:`smallest_singular_value` is one LAPACK
+SVD without vectors.
 """
 
 import math
@@ -184,24 +185,29 @@ def expm(M, scale=1.0):
     return out
 
 
-def _taylor_degree():
-    """Smallest ``K`` with ``(1/2)^(K+1) e^(1/2) / (K+1)! <= 2^-53``: the
+def _taylor_degree(norm=0.5):
+    """Smallest ``K`` with ``norm^(K+1) e^norm / (K+1)! <= 2^-53``: the
     truncation bound of a degree-``K`` Taylor polynomial of ``expm(Z)`` for
-    ``||Z||_1 <= 1/2``, relative to unit roundoff."""
-    K, bound = 0, 0.5 * math.exp(0.5)
+    ``||Z||_1 <= norm``, relative to unit roundoff. ``norm = 1/2`` gives 14
+    and ``norm = 4`` gives 33."""
+    K, bound = 0, norm * math.exp(norm)
     while bound > 2.0 ** -53:
         K += 1
-        bound *= 0.5 / (K + 1)
+        bound *= norm / (K + 1)
     return K
 
 
 class ExpmTable:
-    """Samples ``t -> expm(M t) X`` on ``[0, T]`` from one exponential.
+    """Samples ``t -> expm(M t) X`` on ``[0, T]`` from products with ``M``.
 
     The interval is cut at ``J + 1`` nodes ``j delta``, ``delta = T / J``
-    with ``J = max(1, ceil(||M||_1 T))``. Node values come from stepping
-    ``W_{j+1} = expm(M delta) W_j`` from ``W_0 = X``, and the table keeps
-    the Taylor terms ``M^k W_j / k!`` for ``k <= K`` at every node. A call
+    with ``J = max(1, ceil(||M||_1 T))``. Node values come from Taylor
+    steps of the action, with no exponential formed: from ``W_0 = X``, one
+    series about node ``j`` gives the next ``SPAN`` (4) nodes, ``W_{j+i} =
+    sum_k (i delta)^k M^k W_j / k!``, whose degree ``STEP_DEGREE``
+    (:func:`_taylor_degree` at norm 4, 33) truncates below unit roundoff
+    for ``||M i delta||_1 <= 4``. The table keeps the Taylor terms ``M^k
+    W_j / k!`` for ``k <= K`` at every node. A call
     expands about the nearest node, so the step ``s`` satisfies ``||M s||_1
     <= 1/2`` and degree ``K`` (:func:`_taylor_degree`, 14) truncates below
     unit roundoff: the value is the dot product of ``s^k`` with the terms.
@@ -227,6 +233,8 @@ class ExpmTable:
     """
 
     DEGREE = _taylor_degree()
+    SPAN = 4
+    STEP_DEGREE = _taylor_degree(SPAN)
 
     def __init__(self, M, T, X):
         M = np.asarray(M, dtype=float)
@@ -240,16 +248,27 @@ class ExpmTable:
             raise ValueError("interval length must be positive and finite, got %r" % T)
         J = max(1, math.ceil(np.linalg.norm(M, 1) * T))
         delta = T / J
-        step = expm(M, delta)
-        m = M.shape[0]
+        m, K = M.shape[0], self.STEP_DEGREE
         W = np.empty((m, J + 1, X.size // m))
         W[:, 0] = X.reshape(m, -1)
-        for j in range(J):
-            W[:, j + 1] = step @ W[:, j]
-        # term k for every node at once, then laid out node by node
-        terms = [W.reshape(m, -1)]
-        for k in range(1, self.DEGREE + 1):
-            terms.append((M @ terms[-1]) / k)
+        # node j + i is sum_k i^k t_k, t_k = (M delta)^k W_j / k!; i^k is
+        # exact in double for i <= 4 and k <= 33
+        powers = np.arange(1.0, self.SPAN + 1)[:, None] ** np.arange(K + 1)
+        t = np.empty((K + 1,) + W[:, 0].shape)
+        # an overflow shows as a non-finite table, checked below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(0, J, self.SPAN):
+                t[0] = W[:, j]
+                for k in range(1, K + 1):
+                    np.matmul(M, t[k - 1], out=t[k])
+                    t[k] *= delta / k
+                i = min(self.SPAN, J - j)
+                W[:, j + 1:j + i + 1] = (powers[:i] @ t.reshape(K + 1, -1)) \
+                    .reshape(i, m, -1).swapaxes(0, 1)
+            # term k for every node at once, then laid out node by node
+            terms = [W.reshape(m, -1)]
+            for k in range(1, self.DEGREE + 1):
+                terms.append((M @ terms[-1]) / k)
         self.terms = np.stack(terms).reshape(self.DEGREE + 1, m, J + 1, -1) \
             .transpose(2, 0, 1, 3).reshape(J + 1, self.DEGREE + 1, X.size)
         if not np.all(np.isfinite(self.terms)):
@@ -269,8 +288,9 @@ class ExpmTable:
         (width,)``."""
         t = np.asarray(t, dtype=float)
         slack = 1e-9 * max(1.0, self.T)
-        if not np.all((-slack <= t) & (t <= self.T + slack)):
-            raise ValueError("t=%r outside [0, %g]" % (t, self.T))
+        bad = ~((-slack <= t) & (t <= self.T + slack))
+        if bad.any():
+            raise ValueError("t=%g outside [0, %g]" % (t[bad].flat[0], self.T))
         j = np.clip(np.rint(t / self.delta), 0, self.nodes - 1).astype(int).ravel()
         s = t.ravel() - j * self.delta
         # s^k for k <= K by a running product, one row per power

@@ -15,10 +15,11 @@ Stacking the vectorized blocks gives a state of size ``ns = 2 n^2 +
 linear system in ``G = F1 + F2 expm(E h)`` for ``omega(0)``: one SVD of
 ``G`` grades its solvability and one LU factorization solves it, and
 ``omega(h)`` reuses that exponential. Inside the interval a solution
-propagates ``omega(0)`` once, into a :class:`~delaylyap.linalg.ExpmTable`
-of ``expm(E tau) omega(0)`` on ``[0, h]``, and every value of the Lyapunov
-matrix that :func:`P_at` and the residual checks use is sampled from that
-table; the kernel comes from :func:`delaylyap.model.kernel_exp`, the
+propagates ``omega(0)`` once, by products with ``E`` alone, into a
+:class:`~delaylyap.linalg.ExpmTable` of ``expm(E tau) omega(0)`` on ``[0,
+h]``, so ``expm(E h)`` is its only dense exponential. Every value of the
+Lyapunov matrix that :func:`P_at` and the residual checks use is sampled
+from that table; the kernel comes from :func:`delaylyap.model.kernel_exp`, the
 system's own table of ``expm(-Ad s)``. :func:`evaluate_omega` keeps the
 direct exponential as a reference.
 

@@ -182,18 +182,24 @@ class TestExpmTable:
         M = np.triu(rng.uniform(5.0, 20.0, (m, m)), 1)
         return M - np.diag(rng.uniform(0.5, 2.0, m)), rng
 
-    @pytest.mark.parametrize("case", ["dense24", "dense216", "non_normal"])
+    # J intervals, stepped SPAN = 4 at a time: the last series covers 1, 4,
+    # 1 and 3 of them
+    @pytest.mark.parametrize("case, T, J", [
+        pytest.param("dense24", 1.7, 9, id="dense24"),
+        pytest.param("dense216", 1.7, 24, id="dense216"),
+        pytest.param("non_normal", 0.5, 61, id="non_normal"),
+        pytest.param("dense216", 0.5, 7, id="dense216_short"),
+    ])
     @pytest.mark.parametrize("cols", [None, 3])
-    def test_matches_expm(self, case, cols):
+    def test_matches_expm(self, case, T, J, cols):
         if case == "non_normal":
             M, rng = self.non_normal()
-            T = 0.5
         else:
             M, rng = self.dense(int(case[5:]), 31)
-            T = 1.7
         m = M.shape[0]
         X = rng.standard_normal(m if cols is None else (m, cols))
         table = linalg.ExpmTable(M, T, X)
+        assert table.nodes == J + 1
         # the endpoint, off-node points, the nodes themselves and the
         # midpoints between them
         ts = np.concatenate([[T], rng.uniform(0.0, T, 10),
@@ -227,10 +233,36 @@ class TestExpmTable:
         K = linalg.ExpmTable.DEGREE
         assert K == 14
 
-        def bound(k):
-            return 0.5 ** (k + 1) * np.exp(0.5) / math.factorial(k + 1)
+        def bound(k, norm=0.5):
+            return norm ** (k + 1) * np.exp(norm) / math.factorial(k + 1)
 
         assert bound(K) <= 2.0 ** -53 < bound(K - 1)
+        # one node-stepping series covers SPAN nodes, ||M s||_1 <= SPAN
+        span, K = linalg.ExpmTable.SPAN, linalg.ExpmTable.STEP_DEGREE
+        assert (span, K) == (4, 33)
+        assert bound(K, span) <= 2.0 ** -53 < bound(K - 1, span)
+
+    @pytest.mark.parametrize("case", ["dense24", "non_normal", "kernel_table"])
+    def test_builds_without_an_exponential(self, case, monkeypatch):
+        calls = []
+        expm = linalg.expm
+
+        def counting(*args):
+            calls.append(args)
+            return expm(*args)
+
+        monkeypatch.setattr(linalg, "expm", counting)
+        if case == "kernel_table":
+            sys = random_stable_system(5, 3, 4)
+            table = sys.kernel_table
+            M, X = -sys.Ad, np.eye(4)
+        else:
+            M, rng = self.dense(24, 47) if case == "dense24" else self.non_normal()
+            X = rng.standard_normal(M.shape[0])
+            table = linalg.ExpmTable(M, 0.5, X)
+        assert calls == []
+        t = 0.37 * table.T
+        assert _relerr(table(t), expm(M, t) @ X) <= 1e-13
 
     def test_domain(self):
         table = linalg.ExpmTable(np.eye(2), 1.0, np.ones(2))
@@ -238,6 +270,11 @@ class TestExpmTable:
         for t in (-0.01, 1.01, np.nan, [0.5, 1.01]):
             with pytest.raises(ValueError):
                 table(t)
+        # the message names the first point outside, not the whole array
+        ts = np.linspace(0.0, 1.0, 401)
+        ts[[200, 300]] = 1.5, -2.0
+        with pytest.raises(ValueError, match=r"^t=1\.5 outside \[0, 1\]$"):
+            table(ts)
         for T in (0.0, -1.0, np.inf):
             with pytest.raises(ValueError):
                 linalg.ExpmTable(np.eye(2), T, np.ones(2))
@@ -247,9 +284,10 @@ class TestExpmTable:
             linalg.ExpmTable(np.eye(2), 1.0, np.ones(3))
 
     def test_overflow(self):
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(OverflowError):
-                linalg.ExpmTable(np.array([[800.0]]), 1.0, np.ones(1))
+        # RuntimeWarning is an error here, so a leaked overflow warning
+        # would replace the OverflowError
+        with pytest.raises(OverflowError):
+            linalg.ExpmTable(np.array([[800.0]]), 1.0, np.ones(1))
 
 
 class TestSmallestSingularValue:
