@@ -8,8 +8,11 @@ squaring method with diagonal Pade approximants of Higham (SIMAX 26, 2005),
 with the degree and scaling chosen from norms of matrix powers as in
 Al-Mohy & Higham (SIMAX 31, 2009); :class:`ExpmTable` samples the action
 of an exponential on an interval by truncated Taylor series, from products
-with the matrix alone, and :func:`smallest_singular_value` is one LAPACK
-SVD without vectors.
+with the matrix alone. :func:`smallest_singular_value` is one LAPACK SVD
+without vectors for a small or rectangular matrix; a large square one has
+its unit rows split off, the remaining core inverted once, and ``1 /
+sigma_min^2`` taken by Lanczos with full reorthogonalization (Golub &
+Kahan, SIAM J. Numer. Anal. 2, 1965).
 """
 
 import math
@@ -302,13 +305,115 @@ class ExpmTable:
         return out.reshape(t.shape + (self.shape if cols == slice(None) else (-1,)))
 
 
+# Square matrices of at least this order take the Krylov route of
+# smallest_singular_value; below it one LAPACK SVD is the cheaper route,
+# because the Lanczos loop's Python overhead dominates (timings in CHANGES.md).
+KRYLOV_MIN_ORDER = 256
+
+
+def _unit_rows(A):
+    """Rows of ``A`` whose one nonzero entry is a 1, at most one row per
+    column, and the columns of those entries: ``(rows, cols)``."""
+    nz = A != 0
+    rows = np.flatnonzero(np.count_nonzero(nz, axis=1) == 1)
+    cols = nz[rows].argmax(axis=1)
+    unit = A[rows, cols] == 1
+    cols, first = np.unique(cols[unit], return_index=True)
+    return rows[unit][first], cols
+
+
+def _largest_eigenvalue(apply, m):
+    """Largest eigenvalue of a symmetric positive definite operator on
+    ``R^m``, ``apply(v)`` being its product with a vector.
+
+    Lanczos with full reorthogonalization (two Gram-Schmidt passes), from
+    a fixed pseudo-random start so that repeated calls agree bitwise. The
+    Ritz values are the eigenvalues of the tridiagonal matrix; the
+    iteration stops once the largest one's residual, ``beta_j`` times the
+    last entry of its eigenvector, is at most 1e-13 times the value, or
+    after ``m`` steps, where it is exact. Returns ``inf`` if the operator
+    overflows.
+    """
+    Q = np.empty((m, m))  # Lanczos vectors as rows; only those used are touched
+    alpha, beta = np.zeros(m), np.zeros(m)
+    q = np.random.default_rng(0).standard_normal(m)
+    q /= np.linalg.norm(q)
+    for j in range(m):
+        Q[j] = q
+        w = apply(q)
+        alpha[j] = q @ w
+        for _ in range(2):
+            w -= (Q[:j + 1] @ w) @ Q[:j + 1]
+        beta[j] = np.linalg.norm(w)
+        if not (math.isfinite(alpha[j]) and math.isfinite(beta[j])):
+            return math.inf
+        T = np.diag(alpha[:j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1)
+        theta, S = np.linalg.eigh(T)
+        if beta[j] * abs(S[-1, -1]) <= 1e-13 * theta[-1]:
+            break
+        q = w / beta[j]
+    return float(theta[-1])
+
+
+def _smallest_singular_value_krylov(A):
+    """``sigma_min`` of a square ``A`` as ``1 / ||A^-1||_2``.
+
+    The unit rows of :func:`_unit_rows` and their columns are split off:
+    permuted, ``A = [[I, 0], [X, C]]``, so ``A^-1 = [[I, 0], [-C^-1 X,
+    C^-1]]`` and only the core ``C`` is inverted, once; singular values do
+    not change under permutation. ``||A^-1||_2^2`` is the largest
+    eigenvalue of ``A^-T A^-1``, taken by :func:`_largest_eigenvalue` with
+    the operator applied block by block, so no inverse of ``A`` is formed.
+    An exactly singular core gives 0. The squared operator underflows if
+    ``A`` has no unit rows and every singular value is above about 1e154.
+    """
+    rows, cols = _unit_rows(A)
+    k = rows.size
+    core_rows = np.delete(np.arange(A.shape[0]), rows)
+    core_cols = np.delete(np.arange(A.shape[1]), cols)
+    X = A[np.ix_(core_rows, cols)]
+    try:
+        Ci = np.linalg.inv(A[np.ix_(core_rows, core_cols)])
+    except np.linalg.LinAlgError:
+        return 0.0
+
+    def gram(v):
+        u = Ci @ (v[k:] - X @ v[:k])  # A^-1 v is [v[:k], u]
+        w = u @ Ci                    # C^-T u
+        return np.concatenate([v[:k] - w @ X, w])
+
+    # a nearly singular core overflows the operator, read as sigma_min = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 1.0 / math.sqrt(_largest_eigenvalue(gram, A.shape[0]))
+
+
 def smallest_singular_value(A):
-    """Smallest singular value of a (possibly rectangular) matrix."""
+    """Smallest singular value of a (possibly rectangular) matrix.
+
+    A square matrix of order :data:`KRYLOV_MIN_ORDER` or more takes
+    ``1 / ||A^-1||_2`` from a Lanczos iteration on one inverse of its
+    core, after its unit rows are deflated
+    (:func:`_smallest_singular_value_krylov`, Golub & Kahan, SIAM J.
+    Numer. Anal. 2, 1965). Smaller or rectangular matrices take one LAPACK
+    SVD without vectors.
+
+    Raises
+    ------
+    ValueError
+        If ``A`` is not 2-d or has a non-finite entry.
+    """
     A = np.asarray(A)
     if A.ndim != 2:
         raise ValueError("expects a 2-d array, got shape %s" % (A.shape,))
+    bad = ~np.isfinite(A)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValueError("expects finite entries, got %r at (%d, %d)"
+                         % (float(A[i, j]), i, j))
     if min(A.shape) == 0:
         return 0.0
+    if A.shape[0] == A.shape[1] >= KRYLOV_MIN_ORDER:
+        return _smallest_singular_value_krylov(A)
     return float(np.linalg.svd(A, compute_uv=False)[-1])
 
 

@@ -12,16 +12,19 @@ matrix blocks with conditions split between ``tau = 0`` and ``tau = h``:
 Stacking the vectorized blocks gives a state of size ``ns = 2 n^2 +
 4 n nd`` with dynamics ``omega' = E omega`` and boundary condition
 ``F1 omega(0) + F2 omega(h) = rhs``. The boundary solve reduces to one
-linear system in ``G = F1 + F2 expm(E h)`` for ``omega(0)``: one SVD of
-``G`` grades its solvability and one LU factorization solves it, and
-``omega(h)`` reuses that exponential. Inside the interval a solution
-propagates ``omega(0)`` once, by products with ``E`` alone, into a
-:class:`~delaylyap.linalg.ExpmTable` of ``expm(E tau) omega(0)`` on ``[0,
-h]``, so ``expm(E h)`` is its only dense exponential. Every value of the
-Lyapunov matrix that :func:`P_at` and the residual checks use is sampled
-from that table; the kernel comes from :func:`delaylyap.model.kernel_exp`, the
-system's own table of ``expm(-Ad s)``. :func:`evaluate_omega` keeps the
-direct exponential as a reference.
+linear system in ``G = F1 + F2 expm(E h)`` for ``omega(0)``: the smallest
+singular value of ``G`` grades its solvability (one SVD for a small
+``G``; for a large one, a Lanczos iteration on one inverse of the core
+left when the unit rows ``omega3(0) = 0`` and ``omega5(0) = 0`` are split
+off, see :func:`delaylyap.linalg.smallest_singular_value`), one LU
+factorization solves it, and ``omega(h)`` reuses that exponential.
+Inside the interval a solution propagates ``omega(0)`` once, by products
+with ``E`` alone, into a :class:`~delaylyap.linalg.ExpmTable` of ``expm(E
+tau) omega(0)`` on ``[0, h]``, so ``expm(E h)`` is its only dense
+exponential. Every value of the Lyapunov matrix that :func:`P_at` and the
+residual checks use is sampled from that table; the kernel comes from
+:func:`delaylyap.model.kernel_exp`, the system's own table of ``expm(-Ad
+s)``. :func:`evaluate_omega` keeps the direct exponential as a reference.
 
 Evaluation takes arrays: :func:`P_at`, the kernel and the stacked state
 accept an array of points and return the values stacked on its axes, so
@@ -227,10 +230,12 @@ def solve_boundary(op, weight,
                    borderline=spectrum_mod.BORDERLINE_THRESHOLD):
     """Solve the boundary condition for the initial stacked state.
 
-    The singular values that :func:`delaylyap.spectrum.check` takes of
-    ``G`` are the only ones computed: they decide whether the system has a
-    solution, so what remains is one LU solve of ``G x = rhs``, the
-    residual rows of ``rhs`` being ``-vec(Q)`` and zeros.
+    The smallest singular value that :func:`delaylyap.spectrum.check`
+    takes of ``G`` decides whether the system has a solution: one SVD
+    below :data:`delaylyap.linalg.KRYLOV_MIN_ORDER`, a Lanczos estimate on
+    one inverse of ``G``'s core at or above it. What remains is one LU
+    solve of ``G x = rhs``, the residual rows of ``rhs`` being ``-vec(Q)``
+    and zeros.
 
     Parameters
     ----------

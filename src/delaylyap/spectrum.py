@@ -4,6 +4,9 @@ The construction is well posed exactly when no characteristic root of the
 delay system is mirrored by its negative. That condition is equivalent to
 the combined boundary matrix being nonsingular, so the check here grades
 the smallest singular value of that matrix relative to its largest entry.
+:func:`delaylyap.linalg.smallest_singular_value` takes it from one SVD of a
+small matrix and from a Lanczos iteration on one inverse of a large one's
+core; a matrix with a non-finite entry is refused.
 """
 
 from dataclasses import dataclass
@@ -62,6 +65,11 @@ def check(op, hard=HARD_THRESHOLD, borderline=BORDERLINE_THRESHOLD):
     Returns
     -------
     SpectrumReport
+
+    Raises
+    ------
+    ValueError
+        If the matrix has a non-finite entry.
     """
     G = np.asarray(getattr(op, "G", op), dtype=float)
     sigma = linalg.smallest_singular_value(G)

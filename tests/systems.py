@@ -104,6 +104,19 @@ def random_stable_system(seed, n=2, nd=2, h=1.0):
     return TimeDelaySystem(A0, A1, Ad, Bd, Cd, h)
 
 
+def embedded_degenerate_system(make, n):
+    """``random_stable_system(0, n - 1, n - 1)`` with the scalar system
+    of ``make()`` (``mirror_root_system`` or ``scalar_zero_root``) added as
+    a decoupled last state and kernel coordinate, so the combined system of
+    dimension ``n`` inherits its mirrored roots. Returns ``(sys, I_n)``."""
+    import scipy.linalg
+    big = random_stable_system(0, n - 1, n - 1)
+    small, _ = make()
+    blocks = [scipy.linalg.block_diag(getattr(big, name), getattr(small, name))
+              for name in ("A0", "A1", "Ad", "Bd", "Cd")]
+    return TimeDelaySystem(*blocks, big.h), Weight(np.eye(n))
+
+
 def neutral_kernel_system():
     """Scalar state with a three-dimensional kernel whose ``Ad`` has the
     eigenvalues ``+-0.82i`` on the imaginary axis (and 0.45).

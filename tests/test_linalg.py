@@ -313,6 +313,35 @@ class TestSmallestSingularValue:
             got = linalg.smallest_singular_value(A)
             assert abs(got - expected) <= 1e-6 * max(1.0, expected)
 
+    @pytest.mark.parametrize("n", [8, 10, 12])
+    def test_krylov_route_matches_svd_on_boundary_matrices(self, n):
+        # the unit rows omega3(0) = 0 and omega5(0) = 0 are deflated
+        G = solver.assemble(random_stable_system(0, n, n)).G
+        assert G.shape[0] >= linalg.KRYLOV_MIN_ORDER
+        assert linalg._unit_rows(G)[0].size == 2 * n * n
+        expected = np.linalg.svd(G, compute_uv=False)[-1]
+        assert_allclose(linalg.smallest_singular_value(G), expected, rtol=1e-10)
+
+    def test_krylov_route_matches_svd_on_dense_random(self):
+        A = np.random.default_rng(5).standard_normal((300, 300))
+        assert A.shape[0] >= linalg.KRYLOV_MIN_ORDER
+        assert linalg._unit_rows(A)[0].size == 0
+        expected = np.linalg.svd(A, compute_uv=False)[-1]
+        assert_allclose(linalg.smallest_singular_value(A), expected, rtol=1e-10)
+
+    def test_krylov_route_unit_rows_only(self):
+        # a permutation deflates to an empty core
+        A = np.eye(300)[np.random.default_rng(6).permutation(300)]
+        assert linalg._unit_rows(A)[0].size == 300
+        assert linalg.smallest_singular_value(A) == 1.0
+
+    def test_krylov_route_singular_core(self):
+        G = solver.assemble(random_stable_system(0, 8, 8)).G
+        rows, cols = linalg._unit_rows(G)
+        G[:, np.setdiff1d(np.arange(G.shape[1]), cols)[0]] = 0.0
+        assert np.array_equal(linalg._unit_rows(G)[0], rows)
+        assert linalg.smallest_singular_value(G) == 0.0
+
 
 def test_maxabs():
     assert linalg.maxabs(np.array([[1.0, -3.5], [2.0, 0.0]])) == 3.5

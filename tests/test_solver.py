@@ -26,6 +26,8 @@ from delaylyap.solver import OmegaBlocks, _layout
 from systems import (
     benchmark_sincos_pieces,
     benchmark_system,
+    embedded_degenerate_system,
+    mirror_root_system,
     random_stable_system,
     random_symmetric,
     random_system,
@@ -264,15 +266,10 @@ class TestBoundarySolve:
         assert report.max_abs == np.max(np.abs(sol.op.G))
         assert report.relative == report.sigma_min / report.max_abs
 
-    @pytest.mark.parametrize("seed", [None, 0])
-    def test_one_decomposition_decides_and_solves(self, seed, monkeypatch):
-        # the SVD that grades solvability is the only one taken of G; the
-        # solution is numpy's plain LU solve, bitwise
-        if seed is None:
-            sys, weight = benchmark_system()
-        else:
-            sys, weight = random_stable_system(seed, 6, 6), Weight(np.eye(6))
-        op = assemble(sys)
+    @staticmethod
+    def _svd_calls_in_solve(op, weight, monkeypatch):
+        """SVD calls, numpy's and scipy's, made by ``solve_boundary``; its
+        ``omega0`` must be numpy's plain LU solve, bitwise."""
         calls = []
         for mod, name in ((scipy.linalg, "svd"), (scipy.linalg, "svdvals"),
                           (np.linalg, "svd")):
@@ -282,10 +279,41 @@ class TestBoundarySolve:
             monkeypatch.setattr(mod, name, counting)
         sol = solve_boundary(op, weight)
         monkeypatch.undo()
-        assert len(calls) == 1
         rhs = np.zeros(op.ns)
-        rhs[: sys.n ** 2] = -weight.matrix.reshape(-1, order="F")
+        rhs[: op.n ** 2] = -weight.matrix.reshape(-1, order="F")
         assert np.array_equal(sol.omega0.stacked, np.linalg.solve(op.G, rhs))
+        return len(calls)
+
+    @pytest.mark.parametrize("seed", [None, 0])
+    def test_one_decomposition_decides_and_solves(self, seed, monkeypatch):
+        # below the Krylov cutoff, the SVD that grades solvability is the
+        # only one taken of G
+        if seed is None:
+            sys, weight = benchmark_system()
+        else:
+            sys, weight = random_stable_system(seed, 6, 6), Weight(np.eye(6))
+        op = assemble(sys)
+        assert op.ns < linalg.KRYLOV_MIN_ORDER
+        assert self._svd_calls_in_solve(op, weight, monkeypatch) == 1
+
+    def test_large_system_takes_no_svd(self, monkeypatch):
+        # at n = 12 (ns = 864) solvability is graded by Lanczos on one
+        # inverse of G's core
+        op = assemble(random_stable_system(0, 12, 12))
+        assert op.ns >= linalg.KRYLOV_MIN_ORDER
+        assert self._svd_calls_in_solve(op, Weight(np.eye(12)), monkeypatch) == 0
+
+    @pytest.mark.parametrize("n", [8, 12])
+    @pytest.mark.parametrize("make", [mirror_root_system, scalar_zero_root])
+    def test_degenerate_block_raises_on_krylov_route(self, make, n):
+        sys, weight = embedded_degenerate_system(make, n)
+        op = assemble(sys)
+        assert op.ns >= linalg.KRYLOV_MIN_ORDER
+        with pytest.raises(SpectrumConditionViolated) as info:
+            solve_boundary(op, weight)
+        # the SVD grades it violated too
+        assert np.linalg.svd(op.G, compute_uv=False)[-1] \
+            < info.value.report.hard * info.value.report.max_abs
 
 
 class TestClosedForms:

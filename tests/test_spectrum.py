@@ -66,6 +66,15 @@ class TestCheck:
         assert report.verdict == "violated"
         assert report.relative == 0.0
 
+    @pytest.mark.parametrize("size", [3, 300])  # the SVD and the Krylov route
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_rejects_nonfinite(self, size, value):
+        # an inf used to grade as satisfied, nan < hard being False
+        G = np.eye(size)
+        G[1, 2] = value
+        with pytest.raises(ValueError, match=r"got %r at \(1, 2\)" % value):
+            check_spectrum(G)
+
 
 class TestSolveConsistency:
     def test_violated_iff_solve_raises(self):
