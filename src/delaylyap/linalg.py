@@ -8,14 +8,18 @@ squaring method with diagonal Pade approximants of Higham (SIMAX 26, 2005),
 with the degree and scaling chosen from norms of matrix powers as in
 Al-Mohy & Higham (SIMAX 31, 2009); :class:`ExpmTable` samples the action
 of an exponential on an interval by truncated Taylor series, from products
-with the matrix alone. :func:`smallest_singular_value` is one LAPACK SVD
-without vectors for a small or rectangular matrix; a large square one has
-its unit rows split off, the remaining core inverted once, and ``1 /
-sigma_min^2`` taken by Lanczos with full reorthogonalization (Golub &
-Kahan, SIAM J. Numer. Anal. 2, 1965).
+with the matrix alone. Both accept the matrix's action ``X -> M @ X`` in
+place of the dense products with it, so a structured matrix, such as the
+solver's generator at large orders, makes two products of the exponential
+and every product of the table cheaper. :func:`smallest_singular_value`
+is one LAPACK SVD without vectors for a small or rectangular matrix; a
+large square one has its unit rows split off, the remaining core inverted
+once, and ``1 / sigma_min^2`` taken by Lanczos with full
+reorthogonalization (Golub & Kahan, SIAM J. Numer. Anal. 2, 1965).
 """
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -76,9 +80,11 @@ def _weighted(coeffs, powers):
     return (c @ powers[:k].reshape(k, -1)).reshape(powers.shape[1:])
 
 
-def _pade_expm(A):
+def _pade_expm(A, times=None):
     """``e^A`` for a square ``A`` of size 2 or more, which is scaled in
-    place.
+    place. ``times(X, out=None)``, if given, returns ``A @ X`` at the ``A``
+    passed in, as ``np.matmul(A, X, out=out)`` does, and replaces the two
+    products with ``A`` itself: ``A^2`` and the numerator's ``A u``.
 
     The degree ``m`` and the scaling ``s`` follow Al-Mohy & Higham (2009),
     sections 4 and 5, without their ``ell`` correction: the backward error
@@ -95,7 +101,10 @@ def _pade_expm(A):
     """
     n = A.shape[0]
     P = np.empty((4,) + A.shape, dtype=A.dtype)  # A^2, A^4, A^6, A^8
-    np.matmul(A, A, out=P[0])
+    if times is None:
+        np.matmul(A, A, out=P[0])
+    else:
+        times(A, out=P[0])
     norms = [_norm1(P[0])]
     m, s = 3, 0
     if norms[0] ** (1 / 2) > _THETA[3]:  # bounds d_4 and d_6
@@ -136,7 +145,11 @@ def _pade_expm(A):
     del P
     u.flat[::n + 1] += b[1]
     v.flat[::n + 1] += b[0]
-    U = A @ u
+    if times is None:
+        U = A @ u
+    else:
+        U = times(u)
+        U *= 2.0 ** -s
     # r_m(A) solves (V - U) X = V + U
     Q = np.subtract(v, U, out=u)
     v += U
@@ -147,7 +160,7 @@ def _pade_expm(A):
     return X
 
 
-def expm(M, scale=1.0):
+def expm(M, scale=1.0, action=None):
     """Matrix exponential ``e^(M * scale)``.
 
     Scaling and squaring with a diagonal Pade approximant of degree 3, 5,
@@ -162,6 +175,13 @@ def expm(M, scale=1.0):
     scale : float or complex, optional
         Scalar factor applied before exponentiation. ``scale=0`` returns
         the identity exactly.
+    action : callable, optional
+        ``action(X, out=None)`` returns ``M @ X`` for ``X`` of shape ``(m,
+        p)``, as :class:`ExpmTable` takes it. The two products with
+        the argument itself, ``A^2`` and the numerator's ``A u``, go
+        through it instead of the dense ``M``; the powers, the solve and
+        the squarings stay dense. The result agrees with the dense route
+        to rounding, not bitwise.
 
     Returns
     -------
@@ -180,9 +200,15 @@ def expm(M, scale=1.0):
     A = M * scale
     if A.dtype.kind not in "fc":
         A = A.astype(float)
+    times = None
+    if action is not None:
+        def times(X, out=None):
+            Y = action(X, out=out)
+            Y *= scale
+            return Y
     # an overflow shows as a non-finite result, checked below
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.exp(A) if A.shape[0] <= 1 else _pade_expm(A)
+        out = np.exp(A) if A.shape[0] <= 1 else _pade_expm(A, times)
     if not np.isfinite(out).all():
         raise OverflowError("matrix exponential overflowed to non-finite entries")
     return out
@@ -215,7 +241,10 @@ class ExpmTable:
     <= 1/2`` and degree ``K`` (:func:`_taylor_degree`, 14) truncates below
     unit roundoff: the value is the dot product of ``s^k`` with the terms.
     This is the truncated-Taylor stepping of Al-Mohy & Higham (SISC 2011)
-    with a fixed interval and starting block.
+    with a fixed interval and starting block. Every step and term is a
+    product ``M @ block``, so an ``action`` computing it without the dense
+    ``M`` (the solver's :class:`~delaylyap.solver.BlockAction`) replaces
+    all of them.
 
     The table holds ``(J + 1)(K + 1)`` copies of ``X``. For the stacked
     state of a random stable system with ``n = nd = 12`` on ``h = 1``
@@ -228,6 +257,12 @@ class ExpmTable:
     T : float
         Length of the interval, positive and finite.
     X : (m,) or (m, p) array_like
+    action : callable, optional
+        ``action(Y, out=None)`` returns ``M @ Y`` for ``Y`` of shape ``(m,
+        ...)``, written into ``out`` if given, as ``np.matmul(M, Y,
+        out=out)`` does. Every Taylor step and term is then a call of it
+        instead of a product with the dense ``M``, which still gives the
+        node spacing through ``||M||_1``.
 
     Raises
     ------
@@ -239,7 +274,7 @@ class ExpmTable:
     SPAN = 4
     STEP_DEGREE = _taylor_degree(SPAN)
 
-    def __init__(self, M, T, X):
+    def __init__(self, M, T, X, action=None):
         M = np.asarray(M, dtype=float)
         X = np.array(X, dtype=float)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -250,6 +285,7 @@ class ExpmTable:
         if not np.isfinite(T) or T <= 0:
             raise ValueError("interval length must be positive and finite, got %r" % T)
         J = max(1, math.ceil(np.linalg.norm(M, 1) * T))
+        times = partial(np.matmul, M) if action is None else action
         delta = T / J
         m, K = M.shape[0], self.STEP_DEGREE
         W = np.empty((m, J + 1, X.size // m))
@@ -263,7 +299,7 @@ class ExpmTable:
             for j in range(0, J, self.SPAN):
                 t[0] = W[:, j]
                 for k in range(1, K + 1):
-                    np.matmul(M, t[k - 1], out=t[k])
+                    times(t[k - 1], out=t[k])
                     t[k] *= delta / k
                 i = min(self.SPAN, J - j)
                 W[:, j + 1:j + i + 1] = (powers[:i] @ t.reshape(K + 1, -1)) \
@@ -271,7 +307,7 @@ class ExpmTable:
             # term k for every node at once, then laid out node by node
             terms = [W.reshape(m, -1)]
             for k in range(1, self.DEGREE + 1):
-                terms.append((M @ terms[-1]) / k)
+                terms.append(times(terms[-1]) / k)
         self.terms = np.stack(terms).reshape(self.DEGREE + 1, m, J + 1, -1) \
             .transpose(2, 0, 1, 3).reshape(J + 1, self.DEGREE + 1, X.size)
         if not np.all(np.isfinite(self.terms)):
@@ -305,9 +341,14 @@ class ExpmTable:
         return out.reshape(t.shape + (self.shape if cols == slice(None) else (-1,)))
 
 
-# Square matrices of at least this order take the Krylov route of
-# smallest_singular_value; below it one LAPACK SVD is the cheaper route,
-# because the Lanczos loop's Python overhead dominates (timings in CHANGES.md).
+# The order from which the large-order routes are taken. Square matrices
+# of at least this order take the Krylov route of smallest_singular_value;
+# below it one LAPACK SVD is the cheaper route, because the Lanczos loop's
+# Python overhead dominates. Boundary problems of at least this order
+# multiply by their generator through its block action
+# (delaylyap.solver.BlockAction) in expm, in G and in ExpmTable; below it
+# the action's fixed cost of about 30 us a call loses to the dense product
+# (timings of both crossovers in CHANGES.md).
 KRYLOV_MIN_ORDER = 256
 
 

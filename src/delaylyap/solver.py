@@ -26,6 +26,15 @@ residual checks use is sampled from that table; the kernel comes from
 :func:`delaylyap.model.kernel_exp`, the system's own table of ``expm(-Ad
 s)``. :func:`evaluate_omega` keeps the direct exponential as a reference.
 
+``E`` is assembled densely from Kronecker products, and below
+:data:`delaylyap.linalg.KRYLOV_MIN_ORDER` every product with it is dense.
+From that order on, :class:`BlockAction` multiplies by ``E`` through its
+blocks, in ``O(ns (n + nd))`` per column instead of ``O(ns^2)``: the
+exponential's ``A^2`` and ``A u``, the product ``F2 expm(E h)`` (minus the
+omega2 rows of ``E expm(E h)``, plus three copied row blocks) and every
+Taylor step and term of the table go through it. :func:`evaluate_omega`,
+the boundary states and the kernel table keep their dense products.
+
 Evaluation takes arrays: :func:`P_at`, the kernel and the stacked state
 accept an array of points and return the values stacked on its axes, so
 each round of a residual check's quadrature, whose integrand receives the
@@ -99,6 +108,82 @@ class OmegaBlocks(NamedTuple):
         return np.concatenate([vec(M) for M in self])
 
 
+class BlockAction:
+    """``X -> E @ X`` for ``X`` of shape ``(ns, ...)``, from the blocks of
+    ``E`` without forming it.
+
+    Each block of ``E`` is a Kronecker product with an identity, so with
+    the blocks of a state written ``o1 .. o6``, its derivative is
+
+        o1' =  o1 A0 + o2 A1 + o3 Bd + o4 Bd      o3' = o1 Cd - o3 Ad
+        o2' = -A1' o1 - A0' o2 - Bd' o5 - Bd' o6  o4' = -o2 Ead - o4 Ad
+        o5' =  Ead' o1 + Ad' o5                   o6' = -Cd' o2 + Ad' o6
+
+    with ``Ead = Cd expm(-Ad h)``. Blocks 1, 2, 3 and 4 all have ``n``
+    rows, so the leading ``2 n^2 + 2 n nd`` entries of a stacked state are
+    ``vec([o1 o2 o3 o4])``, and the right products landing in blocks 1, 3
+    and 4 are one product of those entries, reshaped, with a ``(2 n + 2
+    nd, n + 2 nd)`` coefficient matrix, kept transposed as
+    :attr:`right_T`. Blocks 1, 2, 5 and 6
+    all have ``n`` columns, and the left products landing in blocks 2, 5
+    and 6 are :attr:`left` times ``[o1; o2; o5; o6]``, one product batched
+    over those columns. Per column of ``X`` that is ``O(ns (n + nd))``
+    work against ``O(ns^2)`` for ``E @ X``. On the identity it gives ``E``
+    bitwise; on other blocks it agrees to rounding.
+    """
+
+    def __init__(self, A0, A1, Ad, Bd, Cd, Ead):
+        n, nd = A0.shape[0], Ad.shape[0]
+        right = np.zeros((2 * n + 2 * nd, n + 2 * nd))
+        right[:n, :n], right[:n, n:n + nd] = A0, Cd
+        right[n:2 * n, :n], right[n:2 * n, n + nd:] = A1, -Ead
+        right[2 * n:, :n] = np.vstack([Bd, Bd])
+        right[2 * n:2 * n + nd, n:n + nd] = -Ad
+        right[2 * n + nd:, n + nd:] = -Ad
+        left = np.zeros((n + 2 * nd, 2 * n + 2 * nd))
+        left[:n] = -np.hstack([A1.T, A0.T, Bd.T, Bd.T])
+        left[n:n + nd, :n], left[n:n + nd, 2 * n:2 * n + nd] = Ead.T, Ad.T
+        left[n + nd:, n:2 * n], left[n + nd:, 2 * n + nd:] = -Cd.T, Ad.T
+        self.right_T = right.T.copy()
+        self.left = left
+        self.n, self.nd = n, nd
+        self.off = _layout(n, nd)[1]
+
+    def _left_product(self, X, rows):
+        """``left[rows] @ [o1; o2; o5; o6]`` for the blocks of ``X`` of shape
+        ``(ns, p)``, batched over their ``n`` columns: shape ``(n, k, p)``
+        for ``k`` rows, with column ``j`` of the product at ``[j]``."""
+        n, off, p = self.n, self.off, X.shape[1]
+        V = np.concatenate([X[off[i]:off[i + 1]].reshape(n, -1, p)
+                            for i in (0, 1, 4, 5)], axis=1)
+        return self.left[rows] @ V
+
+    def __call__(self, X, out=None):
+        """``E @ X``, written into ``out`` (C-contiguous) if given, as
+        ``np.matmul(E, X, out=out)`` does."""
+        X = np.asarray(X)
+        if out is None:
+            out = np.empty(X.shape, np.result_type(X, self.left))
+        X = X.reshape(X.shape[0], -1)
+        n, nd, off, p = self.n, self.nd, self.off, X.shape[1]
+        Y = out.reshape(X.shape)
+        # blocks 1, 3 and 4: vec([o1' o3' o4']) = vec([o1 o2 o3 o4] right)
+        R = (self.right_T @ X[:off[4]].reshape(2 * n + 2 * nd, -1)).reshape(-1, p)
+        Y[:off[1]] = R[:n * n]
+        Y[off[2]:off[4]] = R[n * n:]
+        # blocks 2, 5 and 6: [o2'; o5'; o6'] = left [o1; o2; o5; o6]
+        L = self._left_product(X, slice(None))
+        Y[off[1]:off[2]].reshape(n, n, p)[...] = L[:, :n]
+        Y[off[4]:off[5]].reshape(n, nd, p)[...] = L[:, n:n + nd]
+        Y[off[5]:].reshape(n, nd, p)[...] = L[:, n + nd:]
+        return out
+
+    def omega2_rows(self, X):
+        """The ``n^2`` omega2 rows of ``E @ X`` for ``X`` of shape ``(ns,
+        p)``, without the rest."""
+        return self._left_product(X, slice(self.n)).reshape(self.n ** 2, X.shape[1])
+
+
 @dataclass(frozen=True, eq=False)
 class AuxOperator:
     """Assembled constant matrices of the auxiliary boundary-value problem.
@@ -108,6 +193,13 @@ class AuxOperator:
     the propagator ``expm(E h)`` across the interval, and ``G = F1 + F2
     expm_Eh`` is the combined boundary matrix whose conditioning decides
     solvability.
+
+    ``action`` is the :class:`BlockAction` of ``E`` when ``ns`` is at
+    least :data:`delaylyap.linalg.KRYLOV_MIN_ORDER`, and ``None`` below.
+    With it, the exponential's products with ``E``, the product ``F2
+    expm_Eh`` and the solution's propagation table go through the block
+    action; without it, every product with ``E`` is dense, because the
+    action's fixed cost of a few calls dominates on small blocks.
     """
 
     system: object
@@ -117,6 +209,7 @@ class AuxOperator:
     expm_Eh: np.ndarray
     G: np.ndarray
     ns: int
+    action: BlockAction = None
 
     @property
     def n(self):
@@ -182,14 +275,25 @@ def assemble(sys):
     place(F1, 2, 2, np.eye(n * nd))
     place(F1, 3, 4, np.eye(nd * n))
 
+    # F2's rows are minus E's second block row, and signed identities
+    # mapping the column block j of omega(h) into the row block i
     F2 = np.zeros((ns, ns))
     F2[:off[1]] = -E[off[1]:off[2]]
-    place(F2, 1, 1, -np.eye(n * n))
-    place(F2, 4, 3, np.eye(n * nd))
-    place(F2, 5, 5, np.eye(nd * n))
+    units = ((1, 1, -1.0), (4, 3, 1.0), (5, 5, 1.0))
+    for i, j, sign in units:
+        place(F2, i, j, sign * np.eye(off[i + 1] - off[i]))
 
-    expm_Eh = linalg.expm(E, sys.h)
-    return AuxOperator(sys, E, F1, F2, expm_Eh, F1 + F2 @ expm_Eh, ns)
+    if ns < linalg.KRYLOV_MIN_ORDER:
+        expm_Eh = linalg.expm(E, sys.h)
+        return AuxOperator(sys, E, F1, F2, expm_Eh, F1 + F2 @ expm_Eh, ns)
+    action = BlockAction(A0, A1, Ad, Bd, Cd, Ead)
+    expm_Eh = linalg.expm(E, sys.h, action)
+    # F2 expm_Eh from F2's structure, written into a copy of F1
+    G = F1.copy()
+    G[:off[1]] -= action.omega2_rows(expm_Eh)
+    for i, j, sign in units:
+        G[off[i]:off[i + 1]] += sign * expm_Eh[off[j]:off[j + 1]]
+    return AuxOperator(sys, E, F1, F2, expm_Eh, G, ns, action)
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,7 +326,8 @@ class LyapunovSolution:
 
     @cached_property
     def omega_table(self):
-        return linalg.ExpmTable(self.op.E, self.system.h, self.omega0.stacked)
+        return linalg.ExpmTable(self.op.E, self.system.h, self.omega0.stacked,
+                                self.op.action)
 
 
 def solve_boundary(op, weight,
@@ -346,8 +451,11 @@ def P_at(sol, tau):
 
 def _grid(taus, h, points):
     """Residual check points in ``[0, h]``, ``points`` evenly spaced ones
-    by default."""
+    by default. An empty grid raises ``ValueError``: its defect would read
+    0, a pass that checked nothing."""
     taus = np.linspace(0.0, h, points) if taus is None else np.asarray(taus, dtype=float)
+    if taus.size == 0:
+        raise ValueError("no residual check points")
     bad = ~((taus >= 0) & (taus <= h))
     if bad.any():
         raise ValueError("residual grid point %g outside [0, h]" % taus[bad][0])

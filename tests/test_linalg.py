@@ -162,6 +162,23 @@ class TestExpm:
             want = np.array(ref.tolist(), dtype=float)
         assert _relerr(linalg.expm(M, 0.5), want) <= 1e-14
 
+    @pytest.mark.parametrize("r", [0.01, 0.9, 3.0, 40.0])
+    def test_action_takes_the_products_with_the_argument(self, r):
+        # A^2 and the numerator's A u go through the action, so it is called
+        # twice for every degree; the powers, solve and squarings stay dense
+        rng = np.random.default_rng(53)
+        M = rng.standard_normal((30, 30)) / np.sqrt(30)
+        M *= r / np.linalg.norm(M, 1)
+        calls = []
+
+        def action(X, out=None):
+            calls.append(X.shape)
+            return np.matmul(M, X, out=out)
+
+        got = linalg.expm(M, 0.8, action)
+        assert calls == [(30, 30)] * 2
+        assert _relerr(got, linalg.expm(M, 0.8)) <= 1e-14
+
 
 def _relerr(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
@@ -263,6 +280,25 @@ class TestExpmTable:
         assert calls == []
         t = 0.37 * table.T
         assert _relerr(table(t), expm(M, t) @ X) <= 1e-13
+
+    @pytest.mark.parametrize("cols", [None, 3])
+    def test_action_replaces_every_product(self, cols):
+        # with the dense product as its action, the table is bitwise the
+        # dense one, and every Taylor step and term is one call of it
+        M, rng = self.dense(24, 59)
+        X = rng.standard_normal(24 if cols is None else (24, cols))
+        want = linalg.ExpmTable(M, 1.3, X)
+        calls = []
+
+        def action(Y, out=None):
+            calls.append(Y.shape)
+            return np.matmul(M, Y, out=out)
+
+        got = linalg.ExpmTable(M, 1.3, X, action)
+        series = -(-(want.nodes - 1) // linalg.ExpmTable.SPAN)
+        assert len(calls) == series * linalg.ExpmTable.STEP_DEGREE \
+            + linalg.ExpmTable.DEGREE
+        assert np.array_equal(got.terms, want.terms)
 
     def test_domain(self):
         table = linalg.ExpmTable(np.eye(2), 1.0, np.ones(2))

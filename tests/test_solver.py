@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -21,7 +23,7 @@ from delaylyap import (
 )
 from delaylyap import linalg, quadrature, solver
 from delaylyap.cli import VALIDATION_BOUNDS
-from delaylyap.solver import OmegaBlocks, _layout
+from delaylyap.solver import BlockAction, OmegaBlocks, _layout
 
 from systems import (
     benchmark_sincos_pieces,
@@ -103,6 +105,17 @@ def kron_assembly(sys):
     return E, F1, F2
 
 
+def block_action(sys):
+    """The system's :class:`BlockAction`, with ``Ead`` formed as
+    ``assemble`` forms it."""
+    Ead = sys.Cd @ linalg.expm(sys.Ad, -sys.h)
+    return BlockAction(sys.A0, sys.A1, sys.Ad, sys.Bd, sys.Cd, Ead)
+
+
+def _relerr(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
 class TestBlockLayout:
     @pytest.mark.parametrize("n,nd,expected", [
         (1, 1, 6), (2, 1, 16), (2, 2, 24), (3, 2, 42), (3, 3, 54),
@@ -151,15 +164,48 @@ class TestAssembly:
             blocks = [rng.standard_normal(s) for s in
                       [(n, n), (n, n), (n, nd), (n, nd), (nd, n), (nd, n)]]
             om = OmegaBlocks(*blocks)
-            got = op.E @ om.stacked
             want = OmegaBlocks(*stacked_derivative_oracle(sys, blocks)).stacked
-            assert np.max(np.abs(got - want)) < 1e-13
+            for got in (op.E @ om.stacked, block_action(sys)(om.stacked)):
+                assert np.max(np.abs(got - want)) < 1e-13
+
+    @pytest.mark.parametrize("h", [0.0, 0.7])
+    def test_block_action_on_identity_is_E(self, h):
+        rng = np.random.default_rng(61)
+        for n in range(1, 6):
+            for nd in range(1, 6):
+                sys = random_system(rng, n, nd, h=h)
+                op = assemble(sys)
+                got = block_action(sys)(np.eye(op.ns))
+                assert np.array_equal(got, op.E)
+                assert np.array_equal(got, kron_assembly(sys)[0])
+
+    @pytest.mark.parametrize("n,nd", [(2, 3), (5, 5), (12, 12)])
+    def test_block_action_matches_dense_product(self, n, nd):
+        sys = random_stable_system(0, n, nd)
+        op = assemble(sys)
+        act = block_action(sys)
+        rng = np.random.default_rng(67)
+        for shape in ((op.ns,), (op.ns, 20), (op.ns, op.ns), (op.ns, 4, 5)):
+            X = rng.standard_normal(shape)
+            want = np.tensordot(op.E, X, 1)
+            got = act(X)
+            assert got.shape == X.shape
+            assert _relerr(got, want) <= 1e-15
+            out = np.empty_like(X)
+            assert act(X, out=out) is out
+            assert np.array_equal(out, got)
+        # the omega2 rows alone
+        X = rng.standard_normal((op.ns, 7))
+        off = _layout(n, nd)[1]
+        assert np.array_equal(act.omega2_rows(X), act(X)[off[1]:off[2]])
 
     @pytest.mark.parametrize("case", ["benchmark", "n2", "n6"])
     def test_bitwise_the_kronecker_assembly(self, case):
         sys = benchmark_system()[0] if case == "benchmark" \
             else random_stable_system(0, int(case[1:]), int(case[1:]))
         op = assemble(sys)
+        # below the cutoff every product with E is the dense one
+        assert op.ns < linalg.KRYLOV_MIN_ORDER and op.action is None
         E, F1, F2 = kron_assembly(sys)
         expm_Eh = linalg.expm(E, sys.h)
         for got, want in ((op.E, E), (op.F1, F1), (op.F2, F2),
@@ -177,6 +223,49 @@ class TestAssembly:
         op = assemble(sys)
         expected = op.F1 + op.F2 @ scipy.linalg.expm(op.E * sys.h)
         assert_allclose(op.G, expected, atol=1e-13)
+
+
+@pytest.fixture(scope="class", params=[(8, 8), (12, 12), (9, 5)],
+                ids=["n8", "n12", "n9_nd5"])
+def large_order(request):
+    """An operator of order ``KRYLOV_MIN_ORDER`` or more, its identity-weight
+    solution, and the dense exponential of ``E h``."""
+    n, nd = request.param
+    sys = random_stable_system(0, n, nd)
+    op = assemble(sys)
+    assert op.ns >= linalg.KRYLOV_MIN_ORDER
+    sol = solve_boundary(op, Weight(np.eye(n)))
+    return sys, op, sol, linalg.expm(op.E, sys.h)
+
+
+class TestLargeOrderRoute:
+    # at order KRYLOV_MIN_ORDER or more, products with E go through the
+    # block action; the dense products are the reference
+
+    def test_exponential(self, large_order):
+        sys, op, _, expm_Eh = large_order
+        assert isinstance(op.action, BlockAction)
+        assert _relerr(op.expm_Eh, expm_Eh) <= 1e-13
+
+    def test_boundary_matrix(self, large_order):
+        _, op, _, expm_Eh = large_order
+        assert _relerr(op.G, op.F1 + op.F2 @ expm_Eh) <= 1e-13
+
+    def test_table(self, large_order):
+        sys, op, sol, _ = large_order
+        dense = linalg.ExpmTable(op.E, sys.h, sol.omega0.stacked)
+        taus = np.linspace(0.0, sys.h, 37)
+        assert _relerr(sol.omega_table(taus), dense(taus)) <= 1e-13
+
+    def test_lyapunov_matrix(self, large_order):
+        # against a solution whose every product with E is dense
+        sys, op, sol, expm_Eh = large_order
+        dense_op = dataclasses.replace(op, expm_Eh=expm_Eh,
+                                       G=op.F1 + op.F2 @ expm_Eh, action=None)
+        dense_sol = solve_boundary(dense_op, sol.weight)
+        lags = np.array([0.0, 0.25, 0.5, 0.75, 1.0]) * sys.h
+        want = P_at(dense_sol, lags)
+        assert _relerr(P_at(sol, lags), want) <= 1e-12
 
 
 class TestBoundarySolve:
@@ -599,6 +688,14 @@ class TestResiduals:
             residual_dde(sol, taus=[-0.1])
         with pytest.raises(ValueError):
             residual_collapsed(sol, taus=[1.4])
+
+    @pytest.mark.parametrize("check", [residual_dde, residual_collapsed,
+                                       flip_residuals, residual_report])
+    def test_rejects_empty_grid(self, benchmark_sol, check):
+        # an empty grid used to read 0, a pass that checked nothing
+        _, sol = benchmark_sol
+        with pytest.raises(ValueError, match="no residual check points"):
+            check(sol, taus=[])
 
     def test_dde_needs_positive_delay(self):
         sys, weight = scalar_decay(h=0.0)
