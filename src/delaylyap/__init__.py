@@ -24,7 +24,6 @@ from .solver import (
     P_at,
     assemble,
     endpoint_residuals,
-    evaluate_omega,
     flip_residuals,
     residual_algebraic,
     residual_collapsed,
@@ -90,7 +89,6 @@ __all__ = [
     "dump_config",
     "endpoint_residuals",
     "equation_residual",
-    "evaluate_omega",
     "flip_residuals",
     "fundamental_matrix",
     "kernel_at",

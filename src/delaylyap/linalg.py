@@ -346,9 +346,10 @@ class ExpmTable:
 # below it one LAPACK SVD is the cheaper route, because the Lanczos loop's
 # Python overhead dominates. Boundary problems of at least this order
 # multiply by their generator through its block action
-# (delaylyap.solver.BlockAction) in expm, in G and in ExpmTable; below it
-# the action's fixed cost of about 30 us a call loses to the dense product
-# (timings of both crossovers in CHANGES.md).
+# (delaylyap.solver.BlockAction) in expm, in the product E expm(E h) that
+# G reads and in ExpmTable; below it the action forms only the dense
+# generator, because its fixed cost of about 30 us a call loses to the
+# dense product (timings of both crossovers in CHANGES.md).
 KRYLOV_MIN_ORDER = 256
 
 

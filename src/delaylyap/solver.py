@@ -24,16 +24,19 @@ tau) omega(0)`` on ``[0, h]``, so ``expm(E h)`` is its only dense
 exponential. Every value of the Lyapunov matrix that :func:`P_at` and the
 residual checks use is sampled from that table; the kernel comes from
 :func:`delaylyap.model.kernel_exp`, the system's own table of ``expm(-Ad
-s)``. :func:`evaluate_omega` keeps the direct exponential as a reference.
+s)``.
 
-``E`` is assembled densely from Kronecker products, and below
-:data:`delaylyap.linalg.KRYLOV_MIN_ORDER` every product with it is dense.
-From that order on, :class:`BlockAction` multiplies by ``E`` through its
-blocks, in ``O(ns (n + nd))`` per column instead of ``O(ns^2)``: the
-exponential's ``A^2`` and ``A u``, the product ``F2 expm(E h)`` (minus the
-omega2 rows of ``E expm(E h)``, plus three copied row blocks) and every
-Taylor step and term of the table go through it. :func:`evaluate_omega`,
-the boundary states and the kernel table keep their dense products.
+:class:`BlockAction` is the one definition of the dynamics: it
+multiplies by ``E`` through its blocks, in ``O(ns (n + nd))`` per column
+instead of ``O(ns^2)``, and the dense ``E`` is its product with the
+identity. ``F1`` and ``F2`` are never formed: ``G`` is built from their
+structure, one row block of ``E expm(E h)`` and copied row blocks of
+``expm(E h)`` (see :func:`assemble`). Below
+:data:`delaylyap.linalg.KRYLOV_MIN_ORDER` every product with ``E`` is
+dense. From that order on, the exponential's ``A^2`` and ``A u``, the
+product ``E expm(E h)`` and every Taylor step and term of the table go
+through the action; the boundary states and the kernel table keep their
+dense products.
 
 Evaluation takes arrays: :func:`P_at`, the kernel and the stacked state
 accept an array of points and return the values stacked on its axes, so
@@ -110,7 +113,8 @@ class OmegaBlocks(NamedTuple):
 
 class BlockAction:
     """``X -> E @ X`` for ``X`` of shape ``(ns, ...)``, from the blocks of
-    ``E`` without forming it.
+    ``E`` without forming it: the one definition of the auxiliary
+    dynamics, from which :func:`assemble` also takes the dense ``E``.
 
     Each block of ``E`` is a Kronecker product with an identity, so with
     the blocks of a state written ``o1 .. o6``, its derivative is
@@ -128,12 +132,13 @@ class BlockAction:
     all have ``n`` columns, and the left products landing in blocks 2, 5
     and 6 are :attr:`left` times ``[o1; o2; o5; o6]``, one product batched
     over those columns. Per column of ``X`` that is ``O(ns (n + nd))``
-    work against ``O(ns^2)`` for ``E @ X``. On the identity it gives ``E``
-    bitwise; on other blocks it agrees to rounding.
+    work against ``O(ns^2)`` for ``E @ X``.
     """
 
-    def __init__(self, A0, A1, Ad, Bd, Cd, Ead):
-        n, nd = A0.shape[0], Ad.shape[0]
+    def __init__(self, sys):
+        A0, A1, Ad, Bd, Cd = sys.A0, sys.A1, sys.Ad, sys.Bd, sys.Cd
+        n, nd = sys.n, sys.internal_dim
+        Ead = Cd @ linalg.expm(Ad, -sys.h)
         right = np.zeros((2 * n + 2 * nd, n + 2 * nd))
         right[:n, :n], right[:n, n:n + nd] = A0, Cd
         right[n:2 * n, :n], right[n:2 * n, n + nd:] = A1, -Ead
@@ -149,15 +154,6 @@ class BlockAction:
         self.n, self.nd = n, nd
         self.off = _layout(n, nd)[1]
 
-    def _left_product(self, X, rows):
-        """``left[rows] @ [o1; o2; o5; o6]`` for the blocks of ``X`` of shape
-        ``(ns, p)``, batched over their ``n`` columns: shape ``(n, k, p)``
-        for ``k`` rows, with column ``j`` of the product at ``[j]``."""
-        n, off, p = self.n, self.off, X.shape[1]
-        V = np.concatenate([X[off[i]:off[i + 1]].reshape(n, -1, p)
-                            for i in (0, 1, 4, 5)], axis=1)
-        return self.left[rows] @ V
-
     def __call__(self, X, out=None):
         """``E @ X``, written into ``out`` (C-contiguous) if given, as
         ``np.matmul(E, X, out=out)`` does."""
@@ -171,41 +167,37 @@ class BlockAction:
         R = (self.right_T @ X[:off[4]].reshape(2 * n + 2 * nd, -1)).reshape(-1, p)
         Y[:off[1]] = R[:n * n]
         Y[off[2]:off[4]] = R[n * n:]
-        # blocks 2, 5 and 6: [o2'; o5'; o6'] = left [o1; o2; o5; o6]
-        L = self._left_product(X, slice(None))
+        # blocks 2, 5 and 6: [o2'; o5'; o6'] = left [o1; o2; o5; o6], batched
+        # over the n columns of those blocks, column j of the product at [j]
+        V = np.concatenate([X[off[i]:off[i + 1]].reshape(n, -1, p)
+                            for i in (0, 1, 4, 5)], axis=1)
+        L = self.left @ V
         Y[off[1]:off[2]].reshape(n, n, p)[...] = L[:, :n]
         Y[off[4]:off[5]].reshape(n, nd, p)[...] = L[:, n:n + nd]
         Y[off[5]:].reshape(n, nd, p)[...] = L[:, n + nd:]
         return out
-
-    def omega2_rows(self, X):
-        """The ``n^2`` omega2 rows of ``E @ X`` for ``X`` of shape ``(ns,
-        p)``, without the rest."""
-        return self._left_product(X, slice(self.n)).reshape(self.n ** 2, X.shape[1])
 
 
 @dataclass(frozen=True, eq=False)
 class AuxOperator:
     """Assembled constant matrices of the auxiliary boundary-value problem.
 
-    ``E`` drives the stacked state, ``F1`` and ``F2`` weight its values at
-    ``tau = 0`` and ``tau = h`` in the boundary condition, ``expm_Eh`` is
-    the propagator ``expm(E h)`` across the interval, and ``G = F1 + F2
-    expm_Eh`` is the combined boundary matrix whose conditioning decides
-    solvability.
+    ``E`` drives the stacked state, ``expm_Eh`` is the propagator ``expm(E
+    h)`` across the interval, and ``G = F1 + F2 expm_Eh`` is the combined
+    boundary matrix whose conditioning decides solvability, ``F1`` and
+    ``F2`` weighting the state's values at ``tau = 0`` and ``tau = h`` in
+    the boundary condition (see :func:`assemble`; neither is kept).
 
     ``action`` is the :class:`BlockAction` of ``E`` when ``ns`` is at
     least :data:`delaylyap.linalg.KRYLOV_MIN_ORDER`, and ``None`` below.
-    With it, the exponential's products with ``E``, the product ``F2
-    expm_Eh`` and the solution's propagation table go through the block
-    action; without it, every product with ``E`` is dense, because the
-    action's fixed cost of a few calls dominates on small blocks.
+    With it, the exponential's products with ``E``, the product ``E
+    expm_Eh`` in ``G`` and the solution's propagation table go through the
+    block action; without it, every product with ``E`` is dense, because
+    the action's fixed cost of a few calls dominates on small blocks.
     """
 
     system: object
     E: np.ndarray
-    F1: np.ndarray
-    F2: np.ndarray
     expm_Eh: np.ndarray
     G: np.ndarray
     ns: int
@@ -223,77 +215,42 @@ class AuxOperator:
 def assemble(sys):
     """Assemble the auxiliary operator of a delay system.
 
-    The six rows of ``E`` encode, in order: the derivative couplings of
-    the two propagator blocks and of the four convolution blocks. The six
-    rows of the boundary pair ``(F1, F2)`` encode: the algebraic condition
-    receiving ``-vec(Q)``, the matching of blocks 1 and 2 across the
-    interval, and the four homogeneous end conditions of the convolution
-    blocks.
+    ``E`` is the system's :class:`BlockAction` applied to the identity.
+    The six rows of the boundary pair ``(F1, F2)`` encode: the algebraic
+    condition receiving ``-vec(Q)``, whose rows are ``E``'s first block
+    row in ``F1`` and minus its second in ``F2``; the matching ``omega1(0)
+    = omega2(h)``; and the four homogeneous end conditions ``omega3(0) =
+    omega5(0) = 0`` and ``omega4(h) = omega6(h) = 0``. Every other block of
+    the pair is zero or a signed identity, so ``G = F1 + F2 expm(E h)`` is
+    formed from that structure: its first rows are ``E``'s first block
+    row minus the omega2 rows of ``E expm(E h)``, and the rest are
+    ``F1``'s identity blocks plus signed row blocks of ``expm(E h)``.
     """
-    n = sys.n
-    nd = sys.internal_dim
-    A0, A1, Ad, Bd, Cd = sys.A0, sys.A1, sys.Ad, sys.Bd, sys.Cd
-    In = np.eye(n)
-    Ead = Cd @ linalg.expm(Ad, -sys.h)
-
-    off = _layout(n, nd)[1]
+    action = BlockAction(sys)
+    off = action.off
     ns = off[-1]
-
-    def place(M, i, j, blk):
-        M[off[i]:off[i + 1], off[j]:off[j + 1]] = blk
-
-    def kron(A, B):
-        # np.kron's products, formed without its per-call overhead
-        return (A[:, None, :, None] * B[None, :, None, :]).reshape(
-            A.shape[0] * B.shape[0], A.shape[1] * B.shape[1])
-
-    BdI, AdI = kron(Bd.T, In), kron(Ad.T, In)
-    IBd, IAd = kron(In, Bd.T), kron(In, Ad.T)
-    E = np.zeros((ns, ns))
-    place(E, 0, 0, kron(A0.T, In))
-    place(E, 0, 1, kron(A1.T, In))
-    place(E, 0, 2, BdI)
-    place(E, 0, 3, BdI)
-    place(E, 1, 0, -kron(In, A1.T))
-    place(E, 1, 1, -kron(In, A0.T))
-    place(E, 1, 4, -IBd)
-    place(E, 1, 5, -IBd)
-    place(E, 2, 0, kron(Cd.T, In))
-    place(E, 2, 2, -AdI)
-    place(E, 3, 1, -kron(Ead.T, In))
-    place(E, 3, 3, -AdI)
-    place(E, 4, 0, kron(In, Ead.T))
-    place(E, 4, 4, IAd)
-    place(E, 5, 1, -kron(In, Cd.T))
-    place(E, 5, 5, IAd)
-
-    # the algebraic condition's rows are E's first block row at tau = 0
-    # and minus its second at tau = h
-    F1 = np.zeros((ns, ns))
-    F1[:off[1]] = E[:off[1]]
-    place(F1, 1, 0, np.eye(n * n))
-    place(F1, 2, 2, np.eye(n * nd))
-    place(F1, 3, 4, np.eye(nd * n))
-
-    # F2's rows are minus E's second block row, and signed identities
-    # mapping the column block j of omega(h) into the row block i
-    F2 = np.zeros((ns, ns))
-    F2[:off[1]] = -E[off[1]:off[2]]
-    units = ((1, 1, -1.0), (4, 3, 1.0), (5, 5, 1.0))
-    for i, j, sign in units:
-        place(F2, i, j, sign * np.eye(off[i + 1] - off[i]))
-
+    E = action(np.eye(ns))
     if ns < linalg.KRYLOV_MIN_ORDER:
+        action = None
         expm_Eh = linalg.expm(E, sys.h)
-        return AuxOperator(sys, E, F1, F2, expm_Eh, F1 + F2 @ expm_Eh, ns)
-    action = BlockAction(A0, A1, Ad, Bd, Cd, Ead)
-    expm_Eh = linalg.expm(E, sys.h, action)
-    # F2 expm_Eh from F2's structure, written into a copy of F1
-    G = F1.copy()
-    G[:off[1]] -= action.omega2_rows(expm_Eh)
-    for i, j, sign in units:
+        # F2's first rows are minus E's omega2 rows. Their product with
+        # expm_Eh is taken as the leading rows of a full-size product,
+        # because BLAS sums a row in an order set by its position and the
+        # product's shape: G is then bitwise the literal F1 + F2 @ expm_Eh
+        # at any BLAS thread count
+        EX2 = (np.concatenate((E[off[1]:], E[:off[1]])) @ expm_Eh)[:off[1]]
+    else:
+        expm_Eh = linalg.expm(E, sys.h, action)
+        EX2 = action(expm_Eh)[off[1]:off[2]]
+    G = np.zeros((ns, ns))
+    G[:off[1]] = E[:off[1]] - EX2
+    # F1's identity blocks, taking column block j of omega(0) to row block i
+    for i, j in ((1, 0), (2, 2), (3, 4)):
+        np.fill_diagonal(G[off[i]:off[i + 1], off[j]:off[j + 1]], 1.0)
+    # F2's signed identity blocks times expm_Eh: row blocks of expm_Eh
+    for i, j, sign in ((1, 1, -1.0), (4, 3, 1.0), (5, 5, 1.0)):
         G[off[i]:off[i + 1]] += sign * expm_Eh[off[j]:off[j + 1]]
-    return AuxOperator(sys, E, F1, F2, expm_Eh, G, ns, action)
+    return AuxOperator(sys, E, expm_Eh, G, ns, action)
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,15 +336,6 @@ def solve_boundary(op, weight,
 def solve(sys, weight, **kwargs):
     """Assemble and solve in one call."""
     return solve_boundary(assemble(sys), weight, **kwargs)
-
-
-def evaluate_omega(sol, tau):
-    """Propagate the stacked state to ``tau`` (any finite value)."""
-    tau = float(tau)
-    if not np.isfinite(tau):
-        raise ValueError("tau must be finite")
-    stacked = linalg.expm(sol.op.E, tau) @ sol.omega0.stacked
-    return OmegaBlocks.from_stacked(stacked, sol.op.n, sol.op.internal_dim)
 
 
 def _stacked_at(sol, t, cols=slice(None)):

@@ -41,7 +41,7 @@ from systems import (
     scalar_decay,
     scalar_zero_root,
 )
-from test_solver import stacked_derivative_oracle
+from test_solver import kron_assembly, stacked_derivative_oracle
 
 
 def report(num, name, ok, detail):
@@ -201,6 +201,7 @@ def test_criterion_7_assembly_oracle():
         nd = int(rng.integers(1, 3))
         sys = random_system(rng, n, nd, h=float(rng.uniform(0.2, 2.0)))
         op = assemble(sys)
+        _, F1, F2 = kron_assembly(sys)
         blocks0 = [rng.standard_normal(s) for s in shapes(n, nd)]
         blocksh = [rng.standard_normal(s) for s in shapes(n, nd)]
         om0 = OmegaBlocks(*blocks0)
@@ -210,10 +211,15 @@ def test_criterion_7_assembly_oracle():
             - OmegaBlocks(*stacked_derivative_oracle(sys, blocks0)).stacked
         ))
         diff_b = np.max(np.abs(
-            op.F1 @ om0.stacked + op.F2 @ omh.stacked
+            F1 @ om0.stacked + F2 @ omh.stacked
             - boundary_oracle(sys, blocks0, blocksh)
         ))
-        worst = max(worst, diff_e, diff_b)
+        # the package's G on omega(0), with omega(h) = expm(E h) omega(0)
+        omh = OmegaBlocks.from_stacked(op.expm_Eh @ om0.stacked, n, nd)
+        diff_g = np.max(np.abs(
+            op.G @ om0.stacked - boundary_oracle(sys, blocks0, omh)
+        ))
+        worst = max(worst, diff_e, diff_b, diff_g)
     ok = worst <= 1e-13
     report(7, "operator assembly against literal products", ok,
            "worst max-abs deviation %.2e over 100 trials" % worst)

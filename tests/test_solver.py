@@ -12,7 +12,6 @@ from delaylyap import (
     Weight,
     assemble,
     endpoint_residuals,
-    evaluate_omega,
     flip_residuals,
     residual_algebraic,
     residual_collapsed,
@@ -54,8 +53,10 @@ def stacked_derivative_oracle(sys, blocks):
 
 
 def kron_assembly(sys):
-    """``E``, ``F1`` and ``F2`` from one ``np.kron`` call per block, as
-    ``assemble`` built them before it formed each product once."""
+    """``E``, ``F1`` and ``F2`` placed densely, one ``np.kron`` call per
+    block: the literal oracle for the ``E`` that :class:`BlockAction`
+    defines and the ``G = F1 + F2 expm(E h)`` that ``assemble`` forms from
+    the structure of ``F1`` and ``F2``."""
     n = sys.n
     nd = sys.internal_dim
     A0, A1, Ad, Bd, Cd = sys.A0, sys.A1, sys.Ad, sys.Bd, sys.Cd
@@ -105,11 +106,18 @@ def kron_assembly(sys):
     return E, F1, F2
 
 
-def block_action(sys):
-    """The system's :class:`BlockAction`, with ``Ead`` formed as
-    ``assemble`` forms it."""
-    Ead = sys.Cd @ linalg.expm(sys.Ad, -sys.h)
-    return BlockAction(sys.A0, sys.A1, sys.Ad, sys.Bd, sys.Cd, Ead)
+def evaluate_omega(sol, tau):
+    """The stacked state at ``tau`` from one direct exponential, as
+    defined, split into its blocks."""
+    stacked = linalg.expm(sol.op.E, tau) @ sol.omega0.stacked
+    return OmegaBlocks.from_stacked(stacked, sol.op.n, sol.op.internal_dim)
+
+
+def grid_systems(h):
+    """``random_system`` for every n and nd in 1..5 at delay ``h``, from
+    one seeded generator."""
+    rng = np.random.default_rng(61)
+    return [random_system(rng, n, nd, h=h) for n in range(1, 6) for nd in range(1, 6)]
 
 
 def _relerr(got, want):
@@ -165,25 +173,22 @@ class TestAssembly:
                       [(n, n), (n, n), (n, nd), (n, nd), (nd, n), (nd, n)]]
             om = OmegaBlocks(*blocks)
             want = OmegaBlocks(*stacked_derivative_oracle(sys, blocks)).stacked
-            for got in (op.E @ om.stacked, block_action(sys)(om.stacked)):
+            for got in (op.E @ om.stacked, BlockAction(sys)(om.stacked)):
                 assert np.max(np.abs(got - want)) < 1e-13
 
     @pytest.mark.parametrize("h", [0.0, 0.7])
     def test_block_action_on_identity_is_E(self, h):
-        rng = np.random.default_rng(61)
-        for n in range(1, 6):
-            for nd in range(1, 6):
-                sys = random_system(rng, n, nd, h=h)
-                op = assemble(sys)
-                got = block_action(sys)(np.eye(op.ns))
-                assert np.array_equal(got, op.E)
-                assert np.array_equal(got, kron_assembly(sys)[0])
+        for sys in grid_systems(h):
+            op = assemble(sys)
+            got = BlockAction(sys)(np.eye(op.ns))
+            assert np.array_equal(got, op.E)
+            assert np.array_equal(got, kron_assembly(sys)[0])
 
     @pytest.mark.parametrize("n,nd", [(2, 3), (5, 5), (12, 12)])
     def test_block_action_matches_dense_product(self, n, nd):
         sys = random_stable_system(0, n, nd)
         op = assemble(sys)
-        act = block_action(sys)
+        act = BlockAction(sys)
         rng = np.random.default_rng(67)
         for shape in ((op.ns,), (op.ns, 20), (op.ns, op.ns), (op.ns, 4, 5)):
             X = rng.standard_normal(shape)
@@ -194,34 +199,38 @@ class TestAssembly:
             out = np.empty_like(X)
             assert act(X, out=out) is out
             assert np.array_equal(out, got)
-        # the omega2 rows alone
-        X = rng.standard_normal((op.ns, 7))
-        off = _layout(n, nd)[1]
-        assert np.array_equal(act.omega2_rows(X), act(X)[off[1]:off[2]])
 
-    @pytest.mark.parametrize("case", ["benchmark", "n2", "n6"])
+    @pytest.mark.parametrize("case", ["benchmark", "n2", "n6", "grid0", "grid0.7"])
     def test_bitwise_the_kronecker_assembly(self, case):
-        sys = benchmark_system()[0] if case == "benchmark" \
-            else random_stable_system(0, int(case[1:]), int(case[1:]))
-        op = assemble(sys)
-        # below the cutoff every product with E is the dense one
-        assert op.ns < linalg.KRYLOV_MIN_ORDER and op.action is None
-        E, F1, F2 = kron_assembly(sys)
-        expm_Eh = linalg.expm(E, sys.h)
-        for got, want in ((op.E, E), (op.F1, F1), (op.F2, F2),
-                          (op.expm_Eh, expm_Eh), (op.G, F1 + F2 @ expm_Eh)):
-            assert np.array_equal(got, want)
+        if case.startswith("grid"):
+            systems = grid_systems(float(case[4:]))
+        elif case == "benchmark":
+            systems = [benchmark_system()[0]]
+        else:
+            systems = [random_stable_system(0, int(case[1:]), int(case[1:]))]
+        for sys in systems:
+            op = assemble(sys)
+            # below the cutoff every product with E is the dense one
+            assert op.ns < linalg.KRYLOV_MIN_ORDER and op.action is None
+            E, F1, F2 = kron_assembly(sys)
+            expm_Eh = linalg.expm(E, sys.h)
+            for got, want in ((op.E, E), (op.expm_Eh, expm_Eh),
+                              (op.G, F1 + F2 @ expm_Eh)):
+                assert np.array_equal(got, want)
 
     def test_operator_shape(self):
         sys, _ = benchmark_system()
         op = assemble(sys)
+        E, F1, F2 = kron_assembly(sys)
         assert op.ns == 24
-        assert op.E.shape == op.F1.shape == op.F2.shape == op.G.shape == (24, 24)
+        assert op.E.shape == op.expm_Eh.shape == op.G.shape == (24, 24)
+        assert E.shape == F1.shape == F2.shape == (24, 24)
 
     def test_combined_matrix_definition(self):
         sys, _ = benchmark_system()
         op = assemble(sys)
-        expected = op.F1 + op.F2 @ scipy.linalg.expm(op.E * sys.h)
+        _, F1, F2 = kron_assembly(sys)
+        expected = F1 + F2 @ scipy.linalg.expm(op.E * sys.h)
         assert_allclose(op.G, expected, atol=1e-13)
 
 
@@ -248,8 +257,9 @@ class TestLargeOrderRoute:
         assert _relerr(op.expm_Eh, expm_Eh) <= 1e-13
 
     def test_boundary_matrix(self, large_order):
-        _, op, _, expm_Eh = large_order
-        assert _relerr(op.G, op.F1 + op.F2 @ expm_Eh) <= 1e-13
+        sys, op, _, expm_Eh = large_order
+        _, F1, F2 = kron_assembly(sys)
+        assert _relerr(op.G, F1 + F2 @ expm_Eh) <= 1e-13
 
     def test_table(self, large_order):
         sys, op, sol, _ = large_order
@@ -260,8 +270,9 @@ class TestLargeOrderRoute:
     def test_lyapunov_matrix(self, large_order):
         # against a solution whose every product with E is dense
         sys, op, sol, expm_Eh = large_order
+        _, F1, F2 = kron_assembly(sys)
         dense_op = dataclasses.replace(op, expm_Eh=expm_Eh,
-                                       G=op.F1 + op.F2 @ expm_Eh, action=None)
+                                       G=F1 + F2 @ expm_Eh, action=None)
         dense_sol = solve_boundary(dense_op, sol.weight)
         lags = np.array([0.0, 0.25, 0.5, 0.75, 1.0]) * sys.h
         want = P_at(dense_sol, lags)
@@ -423,7 +434,8 @@ class TestClosedForms:
     def test_zero_delay_length(self):
         sys, weight = scalar_decay(a0=-1.0, h=0.0, q=1.0)
         op = assemble(sys)
-        assert_allclose(op.G, op.F1 + op.F2, atol=0)
+        _, F1, F2 = kron_assembly(sys)
+        assert_allclose(op.G, F1 + F2, atol=0)
         sol = solve_boundary(op, weight)
         assert_allclose(P_at(sol, 0.0), [[0.5]], atol=1e-12)
 
@@ -457,18 +469,6 @@ class TestPEvaluation:
             P_at(sol, np.nan)
         # endpoint slack
         P_at(sol, 1.0 + 1e-12)
-
-    def test_evaluate_omega_at_zero_is_exact(self):
-        sys, weight = benchmark_system()
-        sol = solve(sys, weight)
-        assert np.array_equal(evaluate_omega(sol, 0.0).stacked,
-                              sol.omega0.stacked)
-
-    def test_evaluate_omega_rejects_nonfinite(self):
-        sys, weight = benchmark_system()
-        sol = solve(sys, weight)
-        with pytest.raises(ValueError):
-            evaluate_omega(sol, np.inf)
 
 
 def P_by_expm(sol, tau):
