@@ -14,7 +14,6 @@ from .model import (
     Weight,
     kernel_at,
     sincos_kernel,
-    validate,
     zero_kernel,
 )
 from .solver import (
@@ -103,6 +102,5 @@ __all__ = [
     "solve",
     "solve_boundary",
     "tau_grid",
-    "validate",
     "zero_kernel",
 ]

@@ -33,13 +33,15 @@ import math
 import numpy as np
 
 from .model import TimeDelaySystem, Weight, sincos_kernel
-from .sim import HistorySpec
+from .sim import TAIL_TOL, HistorySpec
+from .solver import QUAD_TOL
+from .spectrum import BORDERLINE_THRESHOLD, HARD_THRESHOLD
 
 DEFAULT_TOLERANCES = {
-    "singular": 1e-12,
-    "borderline": 1e-8,
-    "quadrature": 1e-10,
-    "tail": 1e-5,
+    "singular": HARD_THRESHOLD,
+    "borderline": BORDERLINE_THRESHOLD,
+    "quadrature": QUAD_TOL,
+    "tail": TAIL_TOL,
 }
 
 
@@ -109,17 +111,12 @@ def _parse_kernel(obj):
 def parse_config(source):
     """Load and normalize a run configuration.
 
-    ``source`` is a file path, an open file object, or an already-decoded
-    dictionary, which is not modified. Returns the normalized document as
-    a new ``dict`` whose keys come in the order :func:`dump_config` prints.
+    ``source`` is a file path or an already-decoded dictionary, which is
+    not modified. Returns the normalized document as a new ``dict`` whose
+    keys come in the order :func:`dump_config` prints.
     """
     if isinstance(source, dict):
         raw = source
-    elif hasattr(source, "read"):
-        try:
-            raw = json.load(source)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("invalid JSON: %s" % exc)
     else:
         try:
             with open(source) as fh:
@@ -183,12 +180,9 @@ def parse_config(source):
             "tolerances": tolerances}
 
 
-def dump_config(cfg, fp=None):
-    """Serialize a configuration to JSON (returned, or written to ``fp``)."""
-    text = json.dumps(cfg, indent=2) + "\n"
-    if fp is not None:
-        fp.write(text)
-    return text
+def dump_config(cfg):
+    """Serialize a configuration to JSON text, ending with a newline."""
+    return json.dumps(cfg, indent=2) + "\n"
 
 
 def build_system(cfg):

@@ -32,21 +32,6 @@ def vec(M):
     return M.reshape(-1, order="F")
 
 
-def unvec(v, rows, cols):
-    """Inverse of :func:`vec`. Reshapes ``v`` into a ``rows x cols`` matrix.
-
-    Raises ``ValueError`` when the length does not factor as ``rows * cols``.
-    """
-    v = np.asarray(v)
-    if v.ndim != 1:
-        raise ValueError("unvec expects a 1-d array, got shape %s" % (v.shape,))
-    if v.size != rows * cols:
-        raise ValueError(
-            "cannot reshape length %d into %d x %d" % (v.size, rows, cols)
-        )
-    return v.reshape(rows, cols, order="F")
-
-
 # Numerators of the diagonal Pade approximants r_m(x) = p_m(x) / p_m(-x) of
 # e^x, p_m(x) = sum_k b[k] x^k (Higham 2005, eqs. 2.2 and 2.3), and the
 # largest theta_m = ||A||_1 for which r_m(A) meets unit roundoff in double
@@ -80,10 +65,10 @@ def _weighted(coeffs, powers):
     return (c @ powers[:k].reshape(k, -1)).reshape(powers.shape[1:])
 
 
-def _pade_expm(A, times=None):
+def _pade_expm(A, times):
     """``e^A`` for a square ``A`` of size 2 or more, which is scaled in
-    place. ``times(X, out=None)``, if given, returns ``A @ X`` at the ``A``
-    passed in, as ``np.matmul(A, X, out=out)`` does, and replaces the two
+    place. ``times(X, out=None)``, unless ``None``, returns ``A @ X`` at the
+    ``A`` passed in, as ``np.matmul(A, X, out=out)`` does, and replaces the two
     products with ``A`` itself: ``A^2`` and the numerator's ``A u``.
 
     The degree ``m`` and the scaling ``s`` follow Al-Mohy & Higham (2009),

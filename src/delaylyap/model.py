@@ -124,11 +124,6 @@ class TimeDelaySystem:
         return linalg.ExpmTable(-self.Ad, self.h, np.eye(self.internal_dim))
 
 
-def validate(sys):
-    """Re-run all well-formedness checks on an existing system."""
-    return check_matrices(sys.A0, sys.A1, sys.Ad, sys.Bd, sys.Cd, sys.h)
-
-
 def kernel_exp(sys, theta):
     """``expm(Ad theta)`` at the points ``theta`` of ``[-h, 0]``, stacked on
     their axes, from one read of the system's table of ``expm(-Ad s)``. A

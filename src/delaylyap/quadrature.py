@@ -15,9 +15,11 @@ from functools import cache
 
 import numpy as np
 
-# rule order and starting panel count of the adaptive ``integrate``
+# rule order, and the first and the largest panel count of the adaptive
+# ``integrate``
 ORDER = 10
 PANELS = 4
+MAX_PANELS = 512
 
 
 @cache
@@ -59,10 +61,10 @@ def fixed_quad(f, a, b, panels=8, order=10):
     return _rule_sums(lambda x, i: f(x), [a], [b], panels, order)[0]
 
 
-def integrate_batch(f, a, b, tol=1e-10, max_panels=512):
+def integrate_batch(f, a, b, tol=1e-10):
     """Integrate ``f`` over each interval ``[a[j], b[j]]`` of the 1-d arrays
     of ends ``a`` and ``b``, doubling the panels of all pending integrals
-    together from ``PANELS``.
+    together from :data:`PANELS` up to :data:`MAX_PANELS`.
 
     ``f(x, i)`` takes the nodes ``x`` of every pending integral and the
     index ``i`` of the interval each node belongs to. The results come
@@ -71,7 +73,7 @@ def integrate_batch(f, a, b, tol=1e-10, max_panels=512):
     :func:`integrate` call would reach, once doubling changes it by less
     than ``tol * max(1, |result|)`` in the max-abs norm. Raises
     ``RuntimeError`` naming the first interval, the panels reached and
-    its last change if ``max_panels`` is reached without convergence.
+    its last change if one has not converged at :data:`MAX_PANELS`.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     todo = np.flatnonzero(a != b)
@@ -85,7 +87,7 @@ def integrate_batch(f, a, b, tol=1e-10, max_panels=512):
     coarse = sums(todo, panels)
     out = np.zeros((a.size,) + coarse.shape[1:])
     err = np.full(todo.size, np.inf)
-    while todo.size and panels < max_panels:
+    while todo.size and panels < MAX_PANELS:
         panels *= 2
         fine = sums(todo, panels)
         axes = tuple(range(1, fine.ndim))
@@ -101,7 +103,7 @@ def integrate_batch(f, a, b, tol=1e-10, max_panels=512):
     return out
 
 
-def integrate(f, a, b, tol=1e-10, max_panels=512):
+def integrate(f, a, b, tol=1e-10):
     """Integrate ``f`` over ``[a, b]``: :func:`integrate_batch` on one
     interval, with ``f`` taking the nodes alone."""
-    return integrate_batch(lambda x, i: f(x), [a], [b], tol, max_panels)[0]
+    return integrate_batch(lambda x, i: f(x), [a], [b], tol)[0]

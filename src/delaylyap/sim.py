@@ -44,6 +44,8 @@ SAMPLES = "samples"
 FUNDAMENTAL = "fundamental"
 
 MAX_DOUBLINGS = 8
+# default bound on the oracles' extrapolated tail
+TAIL_TOL = 1e-5
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,7 +164,6 @@ class Trajectory:
     yd_start: np.ndarray
     yd_end: np.ndarray
     dt: float
-    h: float
 
     @property
     def steps(self):
@@ -342,7 +343,7 @@ def simulate(sys, history, T, dt=None):
     X, Y, *stages = np.split(rows, np.cumsum([n, nd, n, nd, n]), axis=1)
     Xd0, Yd0, Xd1, Yd1 = (d[:-1] for d in stages)
     return Trajectory(dt * np.arange(steps + 1), *map(
-        np.ascontiguousarray, (X, Y, Xd0, Xd1, Yd0, Yd1)), dt, h)
+        np.ascontiguousarray, (X, Y, Xd0, Xd1, Yd0, Yd1)), dt)
 
 
 def fundamental_matrix(sys, T, dt=None):
@@ -461,7 +462,7 @@ def cost_quadrature(traj, weight):
     return CostEstimate(integral + tail, integral, tail, rate, decaying)
 
 
-def cost_to_go(sys, weight, history, T=None, dt=None, tail_tol=1e-5):
+def cost_to_go(sys, weight, history, T=None, dt=None, tail_tol=TAIL_TOL):
     """Simulate and integrate the cost, doubling the horizon until the
     tail correction drops below ``tail_tol``.
 
@@ -479,7 +480,7 @@ def cost_to_go(sys, weight, history, T=None, dt=None, tail_tol=1e-5):
     return cost_quadrature(runs[-1], weight), runs[-1]
 
 
-def oracle_P(sys, weight, tau, T=None, dt=None, tail_tol=1e-5):
+def oracle_P(sys, weight, tau, T=None, dt=None, tail_tol=TAIL_TOL):
     """Delay Lyapunov matrix by direct quadrature of the defining integral.
 
     Integrates ``Phi(t).T Q Phi(t + tau)`` over ``[0, T]`` with Simpson's
@@ -530,52 +531,36 @@ def oracle_P(sys, weight, tau, T=None, dt=None, tail_tol=1e-5):
     return P if np.ndim(tau) else P[0]
 
 
-def equation_residual(sys, traj, times=None, quad_tol=1e-8):
+def equation_residual(sys, traj):
     """Defect of the original delay equation along a simulated trajectory.
 
     Differentiates the record with a fourth-order stencil and evaluates
-    the distributed term by quadrature against the interpolated record, so
-    it checks the augmented form against the original one. Check times
-    must sit at least one delay past the start and clear of the
-    discontinuity points by a few steps; the default picks such times
-    automatically.
+    the distributed term by quadrature (``tol=1e-8``) against the
+    interpolated record, so it checks the augmented form against the
+    original one. The check times are up to 12 record steps spread over
+    the trajectory, each at least one delay past the start and at least
+    2.5 steps clear of the discontinuities at multiples of ``h``. A
+    trajectory too short to hold 3 such steps raises ``ValueError``.
     """
     dt = traj.dt
     T = float(traj.ts[-1])
     h = sys.h
     K = traj.steps
-
-    def clear_of_kinks(i):
-        # clear means at least 2.5 steps from the nearest multiple of h
-        ok = (i >= 2) & (i <= K - 2) & (i * dt >= h)
-        if h > 0:
-            ok &= np.abs(i * dt - np.rint(i * dt / h) * h) >= 2.5 * dt
-        return ok
-
-    if times is None:
-        lo = max(h, 0.0) + 3 * dt
-        hi = T - 3 * dt
-        if hi <= lo:
-            raise ValueError("trajectory too short for a residual check")
-        # each of 12 evenly spaced times moves forward to the next clear step
-        good = np.flatnonzero(clear_of_kinks(np.arange(K + 1)))
-        at = np.searchsorted(good, np.rint(np.linspace(lo, hi, 12) / dt))
-        idx = np.unique(good[at[at < good.size]])
-        if idx.size < 3:
-            raise ValueError("could not place residual check times")
-    else:
-        times = np.asarray(times, dtype=float).ravel()
-        if times.size == 0:
-            raise ValueError("no check times given")
-        if not np.isfinite(times).all():
-            raise ValueError("check times must be finite")
-        idx = np.rint(times / dt).astype(int)
-        bad = ~clear_of_kinks(idx)
-        if bad.any():
-            raise ValueError(
-                "check time %g is too close to a discontinuity or an end"
-                % (idx[bad][0] * dt)
-            )
+    lo = max(h, 0.0) + 3 * dt
+    hi = T - 3 * dt
+    if hi <= lo:
+        raise ValueError("trajectory too short for a residual check")
+    # clear steps are at least 2.5 steps from the nearest multiple of h
+    k = np.arange(K + 1)
+    clear = (k >= 2) & (k <= K - 2) & (k * dt >= h)
+    if h > 0:
+        clear &= np.abs(k * dt - np.rint(k * dt / h) * h) >= 2.5 * dt
+    # each of 12 evenly spaced times moves forward to the next clear step
+    good = np.flatnonzero(clear)
+    at = np.searchsorted(good, np.rint(np.linspace(lo, hi, 12) / dt))
+    idx = np.unique(good[at[at < good.size]])
+    if idx.size < 3:
+        raise ValueError("could not place residual check times")
 
     xs = traj.xs
     dx = (xs[idx - 2] - 8 * xs[idx - 1] + 8 * xs[idx + 1] - xs[idx + 2]) / (12 * dt)
@@ -593,6 +578,6 @@ def equation_residual(sys, traj, times=None, quad_tol=1e-8):
         # of h inside (t - h, t)
         cut = np.floor(t / h) * h - t
         ends = np.stack([np.full_like(t, -h), cut, np.zeros_like(t)], axis=1)
-        conv = integrate_batch(f, ends[:, :2].ravel(), ends[:, 1:].ravel(), tol=quad_tol)
+        conv = integrate_batch(f, ends[:, :2].ravel(), ends[:, 1:].ravel(), tol=1e-8)
         rhs = rhs + conv.reshape((-1, 2) + rhs.shape[1:]).sum(axis=1)
     return linalg.maxabs(dx - rhs)

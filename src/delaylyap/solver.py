@@ -66,6 +66,9 @@ from .linalg import vec
 from .model import kernel_at, kernel_exp
 from .quadrature import integrate, integrate_batch
 
+# default tolerance of the residual checks' quadrature
+QUAD_TOL = 1e-10
+
 
 @cache
 def _layout(n, nd):
@@ -186,7 +189,8 @@ class AuxOperator:
     h)`` across the interval, and ``G = F1 + F2 expm_Eh`` is the combined
     boundary matrix whose conditioning decides solvability, ``F1`` and
     ``F2`` weighting the state's values at ``tau = 0`` and ``tau = h`` in
-    the boundary condition (see :func:`assemble`; neither is kept).
+    the boundary condition (see :func:`assemble`; neither is kept). The
+    dimensions ``n`` and ``nd`` are those of ``system``.
 
     ``action`` is the :class:`BlockAction` of ``E`` when ``ns`` is at
     least :data:`delaylyap.linalg.KRYLOV_MIN_ORDER`, and ``None`` below.
@@ -202,14 +206,6 @@ class AuxOperator:
     G: np.ndarray
     ns: int
     action: BlockAction = None
-
-    @property
-    def n(self):
-        return self.system.n
-
-    @property
-    def internal_dim(self):
-        return self.system.internal_dim
 
 
 def assemble(sys):
@@ -278,8 +274,8 @@ class LyapunovSolution:
 
     @cached_property
     def omega_h(self):
-        return OmegaBlocks.from_stacked(self._ends[1], self.op.n,
-                                        self.op.internal_dim)
+        return OmegaBlocks.from_stacked(self._ends[1], self.system.n,
+                                        self.system.internal_dim)
 
     @cached_property
     def omega_table(self):
@@ -318,7 +314,7 @@ def solve_boundary(op, weight,
         inside the borderline band the solve proceeds and the verdict is
         recorded on the returned solution.
     """
-    n = op.n
+    n = op.system.n
     if weight.n != n:
         raise ValueError(
             "weight dimension %d does not match state dimension %d" % (weight.n, n)
@@ -329,13 +325,13 @@ def solve_boundary(op, weight,
     rhs = np.zeros(op.ns)
     rhs[: n * n] = -vec(weight.matrix)
     omega0 = OmegaBlocks.from_stacked(np.linalg.solve(op.G, rhs),
-                                      n, op.internal_dim)
+                                      n, op.system.internal_dim)
     return LyapunovSolution(op.system, weight, op, omega0, report)
 
 
-def solve(sys, weight, **kwargs):
-    """Assemble and solve in one call."""
-    return solve_boundary(assemble(sys), weight, **kwargs)
+def solve(sys, weight):
+    """Assemble and solve in one call, with the default thresholds."""
+    return solve_boundary(assemble(sys), weight)
 
 
 def _stacked_at(sol, t, cols=slice(None)):
@@ -356,15 +352,15 @@ def _propagators(sol, t):
     """Blocks 1 and 2 of the state at the points ``t``, read row-major
     from the leading columns, so each is the transpose of its block (see
     :meth:`OmegaBlocks.from_stacked`): shape ``t.shape + (2, n, n)``."""
-    n = sol.op.n
-    end = _layout(n, sol.op.internal_dim)[1][2]
+    n = sol.system.n
+    end = _layout(n, sol.system.internal_dim)[1][2]
     return _stacked_at(sol, t, slice(end)).reshape(np.shape(t) + (2, n, n))
 
 
 def _omega(sol, t):
     """:func:`_stacked_at` as blocks of shape ``t.shape + (r, c)``."""
-    return OmegaBlocks.from_stacked(_stacked_at(sol, t), sol.op.n,
-                                    sol.op.internal_dim)
+    return OmegaBlocks.from_stacked(_stacked_at(sol, t), sol.system.n,
+                                    sol.system.internal_dim)
 
 
 def P_at(sol, tau):
@@ -397,21 +393,9 @@ def P_at(sol, tau):
     return P
 
 
-def _grid(taus, h, points):
-    """Residual check points in ``[0, h]``, ``points`` evenly spaced ones
-    by default. An empty grid raises ``ValueError``: its defect would read
-    0, a pass that checked nothing."""
-    taus = np.linspace(0.0, h, points) if taus is None else np.asarray(taus, dtype=float)
-    if taus.size == 0:
-        raise ValueError("no residual check points")
-    bad = ~((taus >= 0) & (taus <= h))
-    if bad.any():
-        raise ValueError("residual grid point %g outside [0, h]" % taus[bad][0])
-    return taus
-
-
-def residual_dde(sol, taus=None, quad_tol=1e-10):
-    """Max-abs defect of the delay differential equation for ``P``.
+def residual_dde(sol, quad_tol=QUAD_TOL):
+    """Max-abs defect of the delay differential equation for ``P`` at 21
+    evenly spaced lags of ``[0, h]``.
 
     The derivative is approximated with second-order difference stencils
     (one-sided near both endpoints, keeping clear of the reflection kink)
@@ -426,7 +410,7 @@ def residual_dde(sol, taus=None, quad_tol=1e-10):
     h = sys.h
     if h <= 0:
         raise ValueError("residual_dde needs h > 0")
-    taus = _grid(taus, h, 21)
+    taus = np.linspace(0.0, h, 21)
     eps = 1e-6 * h
     # +1 forward, -1 backward, 0 central
     side = np.where(taus < 2 * eps, 1.0, np.where(taus > h - 2 * eps, -1.0, 0.0))
@@ -448,7 +432,7 @@ def residual_dde(sol, taus=None, quad_tol=1e-10):
     return linalg.maxabs(dP - (P @ sys.A0 + P_lag @ sys.A1 + conv))
 
 
-def residual_algebraic(sol, quad_tol=1e-10):
+def residual_algebraic(sol, quad_tol=QUAD_TOL):
     """Max-abs defect of the algebraic boundary condition tying ``P`` to
     the weight."""
     sys = sol.system
@@ -468,9 +452,9 @@ def residual_algebraic(sol, quad_tol=1e-10):
     return linalg.maxabs(term + Q)
 
 
-def residual_collapsed(sol, taus=None, quad_tol=1e-10):
+def residual_collapsed(sol, quad_tol=QUAD_TOL):
     """Max-abs defect of the convolution blocks against their defining
-    integrals.
+    integrals, at 11 evenly spaced lags of ``[0, h]``.
 
     Each of blocks 3 to 6 equals a finite convolution of the kernel with
     one propagator block; evaluating those integrals by quadrature and
@@ -479,7 +463,7 @@ def residual_collapsed(sol, taus=None, quad_tol=1e-10):
     the four integrals of every lag are one batched quadrature, each of
     whose rounds reads each table once."""
     h = sol.system.h
-    taus = _grid(taus, h, 11)
+    taus = np.linspace(0.0, h, 11)
     om = _omega(sol, taus)
 
     # blocks 5 and 6 are compared transposed, so that every piece is a
@@ -505,11 +489,12 @@ def residual_collapsed(sol, taus=None, quad_tol=1e-10):
                          - want)
 
 
-def flip_residuals(sol, taus=None):
+def flip_residuals(sol):
     """Defects of the reversal symmetries relating the blocks across the
-    interval, plus the symmetry of block 1 at the origin."""
+    interval at 11 evenly spaced lags, plus the symmetry of block 1 at the
+    origin."""
     h = sol.system.h
-    taus = _grid(taus, h, 11)
+    taus = np.linspace(0.0, h, 11)
     om = _omega(sol, np.stack([taus, h - taus]))
 
     def flip(a, b):
@@ -537,14 +522,14 @@ def endpoint_residuals(sol):
     }
 
 
-def residual_report(sol, taus=None, quad_tol=1e-10):
+def residual_report(sol, quad_tol=QUAD_TOL):
     """Bundle every residual diagnostic into one flat mapping."""
     out = {
         "algebraic": residual_algebraic(sol, quad_tol=quad_tol),
-        "collapsed": residual_collapsed(sol, taus=taus, quad_tol=quad_tol),
+        "collapsed": residual_collapsed(sol, quad_tol=quad_tol),
     }
     if sol.system.h > 0:
-        out["dde"] = residual_dde(sol, taus=taus, quad_tol=quad_tol)
-    out.update(flip_residuals(sol, taus=taus))
+        out["dde"] = residual_dde(sol, quad_tol=quad_tol)
+    out.update(flip_residuals(sol))
     out.update(endpoint_residuals(sol))
     return out

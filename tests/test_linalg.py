@@ -19,21 +19,9 @@ class TestVec:
         M = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         assert_allclose(linalg.vec(M), [1.0, 4.0, 2.0, 5.0, 3.0, 6.0])
 
-    def test_roundtrip(self):
-        rng = np.random.default_rng(3)
-        for rows, cols in [(1, 1), (2, 3), (5, 2), (4, 4)]:
-            M = rng.standard_normal((rows, cols))
-            assert_allclose(linalg.unvec(linalg.vec(M), rows, cols), M)
-
     def test_vec_rejects_vector(self):
         with pytest.raises(ValueError):
             linalg.vec(np.ones(4))
-
-    def test_unvec_rejects_bad_length(self):
-        with pytest.raises(ValueError):
-            linalg.unvec(np.ones(5), 2, 3)
-        with pytest.raises(ValueError):
-            linalg.unvec(np.ones((2, 3)), 2, 3)
 
 
 class TestKron:

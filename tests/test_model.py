@@ -9,7 +9,6 @@ from delaylyap import (
     Weight,
     kernel_at,
     sincos_kernel,
-    validate,
     zero_kernel,
 )
 from delaylyap import linalg
@@ -24,7 +23,6 @@ class TestTimeDelaySystem:
         assert sys.n == 2
         assert sys.internal_dim == 2
         assert sys.h == 1.0
-        assert validate(sys) == []
 
     def test_matrices_are_readonly(self):
         sys, _ = benchmark_system()

