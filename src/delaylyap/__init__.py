@@ -35,7 +35,6 @@ from .spectrum import (
     SpectrumConditionViolated,
     SpectrumReport,
     characteristic_matrix,
-    characteristic_value,
 )
 from .spectrum import check as check_spectrum
 from .sim import (
@@ -44,7 +43,6 @@ from .sim import (
     Trajectory,
     cost_quadrature,
     cost_to_go,
-    equation_residual,
     fundamental_matrix,
     oracle_P,
     simulate,
@@ -80,14 +78,12 @@ __all__ = [
     "build_system",
     "build_weight",
     "characteristic_matrix",
-    "characteristic_value",
     "check_spectrum",
     "cost_quadrature",
     "cost_to_go",
     "default_config",
     "dump_config",
     "endpoint_residuals",
-    "equation_residual",
     "flip_residuals",
     "fundamental_matrix",
     "kernel_at",

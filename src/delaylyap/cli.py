@@ -355,9 +355,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except config_mod.ConfigError as exc:
-        print("input error: %s" % exc, file=_sys.stderr)
-        return EXIT_INPUT
     except spectrum.SpectrumConditionViolated as exc:
         print("solvability violated: %s" % exc, file=_sys.stderr)
         rep = exc.report

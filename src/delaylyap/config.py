@@ -188,22 +188,15 @@ def dump_config(cfg):
 def build_system(cfg):
     """Materialize the TimeDelaySystem described by a configuration."""
     system, k = cfg["system"], cfg["system"]["kernel"]
-    try:
-        if "Ad" in k:
-            Ad, Bd, Cd = np.array(k["Ad"]), np.array(k["Bd"]), np.array(k["Cd"])
-        else:
-            Ad, Bd, Cd = sincos_kernel(k["B0"], k["B1"], k["frequency"])
-        return TimeDelaySystem(system["A0"], system["A1"], Ad, Bd, Cd,
-                               system["h"])
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    if "Ad" in k:
+        Ad, Bd, Cd = np.array(k["Ad"]), np.array(k["Bd"]), np.array(k["Cd"])
+    else:
+        Ad, Bd, Cd = sincos_kernel(k["B0"], k["B1"], k["frequency"])
+    return TimeDelaySystem(system["A0"], system["A1"], Ad, Bd, Cd, system["h"])
 
 
 def build_weight(cfg):
-    try:
-        return Weight(cfg["Q"])
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    return Weight(cfg["Q"])
 
 
 def tau_grid(cfg):

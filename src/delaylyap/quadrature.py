@@ -61,7 +61,7 @@ def fixed_quad(f, a, b, panels=8, order=10):
     return _rule_sums(lambda x, i: f(x), [a], [b], panels, order)[0]
 
 
-def integrate_batch(f, a, b, tol=1e-10):
+def integrate_batch(f, a, b, tol):
     """Integrate ``f`` over each interval ``[a[j], b[j]]`` of the 1-d arrays
     of ends ``a`` and ``b``, doubling the panels of all pending integrals
     together from :data:`PANELS` up to :data:`MAX_PANELS`.
@@ -103,7 +103,7 @@ def integrate_batch(f, a, b, tol=1e-10):
     return out
 
 
-def integrate(f, a, b, tol=1e-10):
+def integrate(f, a, b, tol):
     """Integrate ``f`` over ``[a, b]``: :func:`integrate_batch` on one
     interval, with ``f`` taking the nodes alone."""
     return integrate_batch(lambda x, i: f(x), [a], [b], tol)[0]

@@ -8,8 +8,7 @@ variable ``y(t)`` carries the distributed-delay convolution, so the pair
     y'(t) = Bd x(t) - Ad y(t) - expm(-Ad h) Bd x(t - h)
 
 with ``y(0)`` seeded from the history. Differentiating the convolution
-shows the two forms agree; :func:`equation_residual` checks that on any
-produced trajectory.
+shows the two forms agree.
 
 Integration is a fixed-step RK4 method of steps with the step an integer
 fraction of the delay, so every propagated discontinuity sits on a grid
@@ -36,12 +35,8 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .model import kernel_at, kernel_exp
-from .quadrature import integrate, integrate_batch
-
-POINT_MASS = "point_mass"
-SAMPLES = "samples"
-FUNDAMENTAL = "fundamental"
+from .model import kernel_exp
+from .quadrature import integrate
 
 MAX_DOUBLINGS = 8
 # default bound on the oracles' extrapolated tail
@@ -52,13 +47,13 @@ TAIL_TOL = 1e-5
 class HistorySpec:
     """Initial history segment on ``[-h, 0]``.
 
-    Three kinds are supported: a point mass (zero history, state jumps to
-    ``x0`` at time zero), a sampled segment interpolated with a cubic
-    spline, and the fundamental start (zero history, identity state) used
-    to build the fundamental matrix column by column in one run.
+    Two kinds are supported: a point mass (zero history, state jumps to
+    ``x0`` at time zero), and a sampled segment interpolated with a cubic
+    spline, which holds no ``x0``. A point mass may be an ``(n, c)``
+    block, run as ``c`` columns at once; the identity block gives the
+    fundamental matrix.
     """
 
-    kind: str
     dim: int
     x0: np.ndarray = None
     thetas: np.ndarray = None
@@ -67,11 +62,11 @@ class HistorySpec:
     @classmethod
     def point_mass(cls, x0):
         x0 = np.asarray(x0, dtype=float)
-        if x0.ndim != 1 or x0.size == 0:
-            raise ValueError("x0 must be a nonempty vector")
+        if x0.ndim not in (1, 2) or x0.size == 0:
+            raise ValueError("x0 must be a nonempty vector or matrix")
         if not np.isfinite(x0).all():
             raise ValueError("x0 contains non-finite entries")
-        return cls(POINT_MASS, x0.size, x0=x0)
+        return cls(x0.shape[0], x0=x0)
 
     @classmethod
     def from_samples(cls, thetas, values):
@@ -88,17 +83,11 @@ class HistorySpec:
         if values.ndim not in (1, 2) or values.shape[0] != thetas.size:
             raise ValueError("values must have shape (k,) or (k, n), k = %d" % thetas.size)
         values = values.reshape(thetas.size, -1)
-        return cls(SAMPLES, values.shape[1], thetas=thetas, values=values)
-
-    @classmethod
-    def fundamental(cls, n):
-        if n < 1:
-            raise ValueError("dimension must be positive")
-        return cls(FUNDAMENTAL, n)
+        return cls(values.shape[1], thetas=thetas, values=values)
 
     @property
     def columns(self):
-        return self.dim if self.kind == FUNDAMENTAL else 1
+        return self.x0.shape[1] if np.ndim(self.x0) == 2 else 1
 
     @cached_property
     def _spline(self):
@@ -110,34 +99,32 @@ class HistorySpec:
 
     def initial_state(self):
         """State at time zero, shape ``(n, columns)``."""
-        if self.kind == POINT_MASS:
-            return self.x0[:, None].copy()
-        if self.kind == FUNDAMENTAL:
-            return np.eye(self.dim)
-        return self._spline(0.0)[:, None]
+        if self.x0 is None:
+            return self._spline(0.0)[:, None]
+        return self.x0.reshape(self.dim, -1).copy()
 
     def value(self, theta):
         """History value for ``theta < 0``, shape ``(n, columns)``, stacked
         on the axes of an array of ``theta``."""
         theta = np.asarray(theta, dtype=float)
-        if self.kind in (POINT_MASS, FUNDAMENTAL):
+        if self.x0 is not None:
             return np.zeros(theta.shape + (self.dim, self.columns))
         return self._spline(np.maximum(theta, self.thetas[0]))[..., None]
 
     def seam_value(self):
         """Value used when a delayed read lands exactly at time zero.
 
-        The point-mass and fundamental histories jump at zero, so reads
-        from the left take the history limit, not the post-jump state.
+        A point mass jumps at zero, so reads from the left take the history
+        limit, not the post-jump state.
         """
-        if self.kind == SAMPLES:
+        if self.x0 is None:
             return self._spline(0.0)[:, None]
         return np.zeros((self.dim, self.columns))
 
     def convolution_state(self, sys):
         """Initial internal variable ``int_{-h}^0 expm(Ad th) Bd phi(th) dth``."""
         nd = sys.internal_dim
-        if self.kind in (POINT_MASS, FUNDAMENTAL) or sys.h == 0:
+        if self.x0 is not None or sys.h == 0:
             return np.zeros((nd, self.columns))
 
         def f(theta):
@@ -151,9 +138,9 @@ class Trajectory:
     """Dense fixed-step record of one simulation.
 
     ``xs``/``ys`` have shape ``(K+1, n)`` and ``(K+1, nd)`` for vector
-    runs, or ``(K+1, n, n)`` and ``(K+1, nd, n)`` for fundamental runs.
-    The four stage-derivative arrays hold the first and last RK4 stage of
-    each step and drive the cubic Hermite interpolation.
+    runs, or ``(K+1, n, c)`` and ``(K+1, nd, c)`` for runs from an
+    ``(n, c)`` block. The four stage-derivative arrays hold the first and
+    last RK4 stage of each step and drive the cubic Hermite interpolation.
     """
 
     ts: np.ndarray
@@ -260,7 +247,7 @@ def simulate(sys, history, T, dt=None):
             % (history.dim, sys.n)
         )
     h = sys.h
-    if history.kind == SAMPLES and history.thetas[0] > -h + 1e-12 * max(1.0, h):
+    if history.x0 is None and history.thetas[0] > -h + 1e-12 * max(1.0, h):
         raise ValueError("history samples must cover [-h, 0] with h=%g" % h)
     dt, m, steps = _resolve_step(h, T, dt)
     n, nd = sys.n, sys.internal_dim
@@ -338,7 +325,7 @@ def simulate(sys, history, T, dt=None):
             raise OverflowError("simulation diverged at t=%g" % ((k + 1) * dt))
 
     rows = record.reshape(steps + 1, L, c)
-    if c == 1 and history.kind != FUNDAMENTAL:
+    if np.ndim(history.x0) < 2:  # a vector or a sampled start
         rows = rows[:, :, 0]
     X, Y, *stages = np.split(rows, np.cumsum([n, nd, n, nd, n]), axis=1)
     Xd0, Yd0, Xd1, Yd1 = (d[:-1] for d in stages)
@@ -348,7 +335,7 @@ def simulate(sys, history, T, dt=None):
 
 def fundamental_matrix(sys, T, dt=None):
     """Matrix trajectory whose columns solve the system from a unit jump."""
-    return simulate(sys, HistorySpec.fundamental(sys.n), T, dt=dt)
+    return simulate(sys, HistorySpec.point_mass(np.eye(sys.n)), T, dt=dt)
 
 
 @dataclass(frozen=True)
@@ -530,54 +517,3 @@ def oracle_P(sys, weight, tau, T=None, dt=None, tail_tol=TAIL_TOL):
     P[taus < 0] = P[taus < 0].transpose(0, 2, 1)
     return P if np.ndim(tau) else P[0]
 
-
-def equation_residual(sys, traj):
-    """Defect of the original delay equation along a simulated trajectory.
-
-    Differentiates the record with a fourth-order stencil and evaluates
-    the distributed term by quadrature (``tol=1e-8``) against the
-    interpolated record, so it checks the augmented form against the
-    original one. The check times are up to 12 record steps spread over
-    the trajectory, each at least one delay past the start and at least
-    2.5 steps clear of the discontinuities at multiples of ``h``. A
-    trajectory too short to hold 3 such steps raises ``ValueError``.
-    """
-    dt = traj.dt
-    T = float(traj.ts[-1])
-    h = sys.h
-    K = traj.steps
-    lo = max(h, 0.0) + 3 * dt
-    hi = T - 3 * dt
-    if hi <= lo:
-        raise ValueError("trajectory too short for a residual check")
-    # clear steps are at least 2.5 steps from the nearest multiple of h
-    k = np.arange(K + 1)
-    clear = (k >= 2) & (k <= K - 2) & (k * dt >= h)
-    if h > 0:
-        clear &= np.abs(k * dt - np.rint(k * dt / h) * h) >= 2.5 * dt
-    # each of 12 evenly spaced times moves forward to the next clear step
-    good = np.flatnonzero(clear)
-    at = np.searchsorted(good, np.rint(np.linspace(lo, hi, 12) / dt))
-    idx = np.unique(good[at[at < good.size]])
-    if idx.size < 3:
-        raise ValueError("could not place residual check times")
-
-    xs = traj.xs
-    dx = (xs[idx - 2] - 8 * xs[idx - 1] + 8 * xs[idx + 1] - xs[idx + 2]) / (12 * dt)
-    delayed = xs[idx - int(round(h / dt))] if h > 0 else xs[idx]
-    rhs = (np.einsum("ij,kj...->ki...", sys.A0, xs[idx])
-           + np.einsum("ij,kj...->ki...", sys.A1, delayed))
-    if h > 0:
-        t = idx * dt
-
-        def f(theta, i):
-            return np.einsum("kij,kj...->ki...", kernel_at(sys, theta),
-                             traj.x_at(t[i // 2] + theta))
-
-        # two pieces per time, split where t + theta crosses the multiple
-        # of h inside (t - h, t)
-        cut = np.floor(t / h) * h - t
-        ends = np.stack([np.full_like(t, -h), cut, np.zeros_like(t)], axis=1)
-        conv = integrate_batch(f, ends[:, :2].ravel(), ends[:, 1:].ravel(), tol=1e-8)
-        rhs = rhs + conv.reshape((-1, 2) + rhs.shape[1:]).sum(axis=1)
-    return linalg.maxabs(dx - rhs)

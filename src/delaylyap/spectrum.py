@@ -99,12 +99,3 @@ def characteristic_matrix(sys, lam):
                   [np.zeros((nd, 2 * nd))]])
     transform = sys.Cd @ linalg.expm(Z, sys.h)[:nd, nd:] @ sys.Bd
     return lam * np.eye(sys.n) - sys.A0 - np.exp(-lam * sys.h) * sys.A1 - transform
-
-
-def characteristic_value(sys, lam):
-    """Determinant of the characteristic matrix at ``lam``.
-
-    Zeros of this function over the complex plane are the characteristic
-    roots of the delay system.
-    """
-    return complex(np.linalg.det(characteristic_matrix(sys, lam)))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -298,6 +299,28 @@ class TestValidate:
         assert rc == 4
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_non_decaying_cost_fails_without_a_bound(self, tmp_path, capsys,
+                                                     monkeypatch):
+        cost_to_go = delaylyap.sim.cost_to_go
+
+        def not_decaying(*args, **kwargs):
+            est, traj = cost_to_go(*args, **kwargs)
+            return dataclasses.replace(est, decaying=False), traj
+
+        monkeypatch.setattr(delaylyap.sim, "cost_to_go", not_decaying)
+        out = tmp_path / "out"
+        rc = main(["validate", "--config", str(DEMO_CONFIGS / "example1.json"),
+                   "--out", str(out)])
+        assert rc == 4
+        result = json.loads((out / "validation.json").read_text())
+        entry = next(c for c in result["checks"] if c["check"] == "cost x0=[1.0, 0.0]")
+        assert entry["bound"] is None and entry["pass"] is False
+        assert entry["note"] == "cost integrand is not decaying"
+        assert result["all_passed"] is False
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("FAIL cost x0=[1.0, 0.0]")
+                   and line.endswith("cost integrand is not decaying") for line in lines)
+
 
 class TestSample:
     def test_explicit_lags(self, tmp_path, capsys):
@@ -400,6 +423,14 @@ class TestInputErrors:
         cfg = write_config(tmp_path, payload)
         assert main(["solve", "--config", cfg]) == 3
         capsys.readouterr()
+
+    def test_model_refusal_is_an_input_error(self, tmp_path, capsys):
+        # the model's own ValueError, not one of the parser's, exits 3 too
+        payload = json.loads(json.dumps(BENCHMARK))
+        payload["Q"] = [[1.0, 2.0], [0.0, 1.0]]
+        cfg = write_config(tmp_path, payload)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert "input error: weight is not symmetric" in capsys.readouterr().err
 
     def test_unknown_tolerance(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BENCHMARK)

@@ -68,6 +68,26 @@ class TestCheckMatrices:
     def test_clean_system_has_no_violations(self):
         assert check_matrices([[-1.0]], [[0.0]], [[1.0]], [[0.0]], [[0.0]], 1.0) == []
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"A1": [["a"]]}, "A1 is not a numeric matrix"),
+        ({"Ad": [1.0]}, "Ad must be 2-d, got 1-d"),
+        ({"A0": [[-1.0, 0.0]]}, "A0 must be square, got (1, 2)"),
+        ({"A0": np.zeros((0, 0)), "A1": np.zeros((0, 0)), "Bd": np.zeros((1, 0)),
+          "Cd": np.zeros((0, 1))}, "state dimension must be at least 1"),
+        ({"Ad": [[1.0, 0.0]]}, "Ad must be square, got (1, 2)"),
+        ({"Ad": np.zeros((0, 0)), "Bd": np.zeros((0, 1)), "Cd": np.zeros((1, 0))},
+         "kernel internal dimension must be at least 1"),
+        ({"Bd": [[0.0, 0.0]]}, "Bd shape (1, 2), expected (1, 1)"),
+        ({"Cd": [[0.0], [0.0]]}, "Cd shape (2, 1), expected (1, 1)"),
+        ({"h": "one"}, "delay h is not a number"),
+    ], ids=["non-numeric", "not-2d", "A0-not-square", "A0-empty", "Ad-not-square",
+            "Ad-empty", "Bd-shape", "Cd-shape", "h-not-a-number"])
+    def test_each_violation_has_its_message(self, changes, message):
+        data = {"A0": [[-1.0]], "A1": [[0.0]], "Ad": [[1.0]], "Bd": [[0.0]],
+                "Cd": [[0.0]], "h": 1.0}
+        data.update(changes)
+        assert check_matrices(**data) == [message]
+
 
 class TestKernelAt:
     def test_sincos_closed_form(self):
