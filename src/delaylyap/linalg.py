@@ -6,12 +6,19 @@ stacks columns, so ``vec(A X B) = kron(B.T, A) vec(X)``.
 Everything here runs on numpy alone. :func:`expm` is the scaling and
 squaring method with diagonal Pade approximants of Higham (SIMAX 26, 2005),
 with the degree and scaling chosen from norms of matrix powers as in
-Al-Mohy & Higham (SIMAX 31, 2009); :class:`ExpmTable` samples the action
-of an exponential on an interval by truncated Taylor series, from products
-with the matrix alone. Both accept the matrix's action ``X -> M @ X`` in
-place of the dense products with it, so a structured matrix, such as the
-solver's generator at large orders, makes two products of the exponential
-and every product of the table cheaper. :func:`smallest_singular_value`
+Al-Mohy & Higham (SIMAX 31, 2009). Given a pairing of the indices under
+which the matrix is odd, as the solver's generator is under the reversal
+of its blocks, it works at half the order instead: in the sums and
+differences of paired entries the matrix is block off-diagonal, and its
+exponential is a cosh/sinh pair of one matrix of half the order (the
+square-reduced idea of Van Loan, LAA 61, 1984), taken by Taylor series
+and double-angle steps as for the matrix cosine (Higham & Smith, Numer.
+Algorithms 34, 2003). :class:`ExpmTable` samples the action of an
+exponential on an interval by truncated Taylor series, from products with
+the matrix alone; it accepts the matrix's action ``X -> M @ X`` in place
+of the dense products with it, so a structured matrix, such as the
+solver's generator at large orders, makes every product of the table
+cheaper. :func:`smallest_singular_value`
 is one LAPACK SVD without vectors for a small or rectangular matrix; a
 large square one has its unit rows split off, the remaining core inverted
 once, and ``1 / sigma_min^2`` taken by Lanczos with full
@@ -65,11 +72,9 @@ def _weighted(coeffs, powers):
     return (c @ powers[:k].reshape(k, -1)).reshape(powers.shape[1:])
 
 
-def _pade_expm(A, times):
+def _pade_expm(A):
     """``e^A`` for a square ``A`` of size 2 or more, which is scaled in
-    place. ``times(X, out=None)``, unless ``None``, returns ``A @ X`` at the
-    ``A`` passed in, as ``np.matmul(A, X, out=out)`` does, and replaces the two
-    products with ``A`` itself: ``A^2`` and the numerator's ``A u``.
+    place.
 
     The degree ``m`` and the scaling ``s`` follow Al-Mohy & Higham (2009),
     sections 4 and 5, without their ``ell`` correction: the backward error
@@ -86,10 +91,7 @@ def _pade_expm(A, times):
     """
     n = A.shape[0]
     P = np.empty((4,) + A.shape, dtype=A.dtype)  # A^2, A^4, A^6, A^8
-    if times is None:
-        np.matmul(A, A, out=P[0])
-    else:
-        times(A, out=P[0])
+    np.matmul(A, A, out=P[0])
     norms = [_norm1(P[0])]
     m, s = 3, 0
     if norms[0] ** (1 / 2) > _THETA[3]:  # bounds d_4 and d_6
@@ -130,11 +132,7 @@ def _pade_expm(A, times):
     del P
     u.flat[::n + 1] += b[1]
     v.flat[::n + 1] += b[0]
-    if times is None:
-        U = A @ u
-    else:
-        U = times(u)
-        U *= 2.0 ** -s
+    U = A @ u
     # r_m(A) solves (V - U) X = V + U
     Q = np.subtract(v, U, out=u)
     v += U
@@ -145,7 +143,113 @@ def _pade_expm(A, times):
     return X
 
 
-def expm(M, scale=1.0, action=None):
+def _taylor_degree(norm=0.5):
+    """Smallest ``K`` with ``norm^(K+1) e^norm / (K+1)! <= 2^-53``: the
+    truncation bound of a degree-``K`` Taylor polynomial of ``expm(Z)`` for
+    ``||Z||_1 <= norm``, relative to unit roundoff. ``norm = 1/2`` gives 14
+    and ``norm = 4`` gives 33."""
+    K, bound = 0, norm * math.exp(norm)
+    while bound > 2.0 ** -53:
+        K += 1
+        bound *= norm / (K + 1)
+    return K
+
+
+# The half-order exponential's series run on Z = W / 4^k with ||Z||_1 <=
+# _HALF_THETA, so on x = sqrt(Z) of norm at most 4, where degree 33 in x
+# (_taylor_degree(4), as for ExpmTable's steps), 16 in Z, truncates below
+# unit roundoff. On the tests' large-order generators (n, nd = 8 8, 12 12
+# and 9 5) the result is within 7.1e-15 of the Pade route at this bound,
+# against 1.8e-14 at 4 and 9.1e-14 at 1, at about the same cost: fewer
+# double-angle steps lose less to rounding.
+_HALF_THETA = 16.0
+_HALF_DEGREE = _taylor_degree(math.sqrt(_HALF_THETA)) // 2  # 16
+# The powers Z^0 .. Z^b that Horner's rule in Z^b reads, b ~ sqrt(degree)
+_HALF_BLOCK = math.isqrt(_HALF_DEGREE)
+# sinh(x) / x = sum z^k / (2k + 1)! and (cosh(x) - 1) / z = sum z^k / (2k + 2)!
+_SINH_SERIES = [1 / math.factorial(2 * k + 1) for k in range(_HALF_DEGREE + 1)]
+_COSH_SERIES = [1 / math.factorial(2 * k + 2) for k in range(_HALF_DEGREE + 1)]
+
+
+def _horner(coeffs, P):
+    """``sum_k coeffs[k] Z^k`` from the stacked powers ``P = [I, Z, ...,
+    Z^b]``: Horner's rule in ``Z^b``, one product per ``b`` coefficients
+    (Paterson & Stockmeyer, SIAM J. Comput. 2, 1973)."""
+    b = len(P) - 1
+    t = (len(coeffs) - 2) // b
+    R = _weighted(coeffs[t * b:], P)
+    for j in range(t - 1, -1, -1):
+        R = R @ P[b]
+        R += _weighted(coeffs[j * b:(j + 1) * b], P)
+    return R
+
+
+def _half_order_expm(M, scale, pi):
+    """``e^(M scale)`` for an ``M`` that is odd under the pairing ``pi``.
+
+    ``I`` holds the indices ``k < pi[k]`` and ``J = pi[I]`` their partners.
+    With ``p = w_I + w_J`` and ``q = w_I - w_J``, ``w' = M w`` becomes ``p'
+    = B q`` and ``q' = C p``, ``B = M_II + M_JI`` and ``C = M_II - M_JI``
+    (scaled here), because ``M_JJ = -M_II`` and ``M_IJ = -M_JI``, which are
+    not read. The exponential of this block off-diagonal form is, with ``W
+    = B C``,
+
+        [[c(W), s(W) B], [C s(W), I + C d(W) B]]
+
+    where ``c``, ``s`` and ``d`` are ``cosh(x)``, ``sinh(x) / x`` and
+    ``(cosh(x) - 1) / x^2`` at ``x = sqrt(z)``: the square-reduced idea
+    for Hamiltonian matrices (Van Loan, LAA 61, 1984). ``s`` and ``d`` are
+    Taylor series on ``Z = W / 4^k``, ``c = I + Z d``, and ``k``
+    double-angle steps ``s <- s c``, ``d <- d (I + c) / 2``, ``c <- 2 c^2
+    - I``, all from the old ``c``, undo the scaling, as for the matrix
+    cosine (Higham & Smith, Numer. Algorithms 34, 2003). Every product has
+    half the order of ``M``, an eighth of the cost, and there is no solve.
+    """
+    I = np.flatnonzero(np.arange(M.shape[0]) < pi)
+    J = pi[I]
+    cols = M.take(I, axis=1)
+    MII, MJI = cols.take(I, axis=0), cols.take(J, axis=0)
+    B = (MII + MJI) * scale
+    C = (MII - MJI) * scale
+    W = B @ C
+    norm = _norm1(W)
+    if not math.isfinite(norm):
+        raise OverflowError("matrix exponential overflowed: "
+                            "the squared argument is not finite")
+    steps = math.ceil(math.log2(norm / _HALF_THETA) / 2) if norm > _HALF_THETA else 0
+    m = W.shape[0]
+    P = np.empty((_HALF_BLOCK + 1, m, m), dtype=W.dtype)
+    P[0] = np.eye(m)
+    np.multiply(W, 4.0 ** -steps, out=P[1])
+    for k in range(2, _HALF_BLOCK + 1):
+        np.matmul(P[k - 1], P[1], out=P[k])
+    sinhc = _horner(_SINH_SERIES, P)
+    d = _horner(_COSH_SERIES, P)
+    c = P[1] @ d
+    c.flat[::m + 1] += 1.0
+    del P
+    for _ in range(steps):
+        sinhc = sinhc @ c
+        d += d @ c
+        d *= 0.5
+        c = c @ c
+        c *= 2.0
+        c.flat[::m + 1] -= 1.0
+    X12 = sinhc @ B
+    X21 = C @ sinhc
+    X22 = C @ (d @ B)
+    X22.flat[::m + 1] += 1.0
+    # back from (p, q) to (w_I, w_J) = ((p + q) / 2, (p - q) / 2)
+    S, D = c + X22, c - X22
+    O, Q = X12 + X21, X12 - X21
+    pq = np.block([[S + O, D - Q], [D + Q, S - O]])
+    pq *= 0.5
+    # pq is the result with rows and columns in the order [I, J]
+    inv = np.argsort(np.concatenate([I, J]))
+    return pq.take(inv, axis=0).take(inv, axis=1)
+
+
+def expm(M, scale=1.0, pairing=None):
     """Matrix exponential ``e^(M * scale)``.
 
     Scaling and squaring with a diagonal Pade approximant of degree 3, 5,
@@ -160,13 +264,14 @@ def expm(M, scale=1.0, action=None):
     scale : float or complex, optional
         Scalar factor applied before exponentiation. ``scale=0`` returns
         the identity exactly.
-    action : callable, optional
-        ``action(X, out=None)`` returns ``M @ X`` for ``X`` of shape ``(m,
-        p)``, as :class:`ExpmTable` takes it. The two products with
-        the argument itself, ``A^2`` and the numerator's ``A u``, go
-        through it instead of the dense ``M``; the powers, the solve and
-        the squarings stay dense. The result agrees with the dense route
-        to rounding, not bitwise.
+    pairing : (m,) int array, optional
+        An index map ``pi`` with ``pi[pi]`` the identity and no fixed
+        point, under which ``M`` is odd: ``M[pi][:, pi] = -M``, so its
+        spectrum comes in ``(lambda, -lambda)`` pairs. The exponential is
+        then taken at half the order, by the cosh/sinh form of
+        :func:`_half_order_expm`, which reads only the columns ``k < pi[k]``
+        of ``M`` and does not detect a violation. It agrees with the Pade
+        route to rounding, not bitwise.
 
     Returns
     -------
@@ -182,33 +287,19 @@ def expm(M, scale=1.0, action=None):
         raise ValueError("expm expects a square matrix, got shape %s" % (M.shape,))
     if scale == 0:
         return np.eye(M.shape[0], dtype=np.result_type(M.dtype, float))
-    A = M * scale
-    if A.dtype.kind not in "fc":
-        A = A.astype(float)
-    times = None
-    if action is not None:
-        def times(X, out=None):
-            Y = action(X, out=out)
-            Y *= scale
-            return Y
+    if M.dtype.kind not in "fc":
+        M = M.astype(float)
     # an overflow shows as a non-finite result, checked below
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.exp(A) if A.shape[0] <= 1 else _pade_expm(A, times)
+        if pairing is not None:
+            out = _half_order_expm(M, scale, pairing)
+        elif M.shape[0] <= 1:
+            out = np.exp(M * scale)
+        else:
+            out = _pade_expm(M * scale)
     if not np.isfinite(out).all():
         raise OverflowError("matrix exponential overflowed to non-finite entries")
     return out
-
-
-def _taylor_degree(norm=0.5):
-    """Smallest ``K`` with ``norm^(K+1) e^norm / (K+1)! <= 2^-53``: the
-    truncation bound of a degree-``K`` Taylor polynomial of ``expm(Z)`` for
-    ``||Z||_1 <= norm``, relative to unit roundoff. ``norm = 1/2`` gives 14
-    and ``norm = 4`` gives 33."""
-    K, bound = 0, norm * math.exp(norm)
-    while bound > 2.0 ** -53:
-        K += 1
-        bound *= norm / (K + 1)
-    return K
 
 
 class ExpmTable:
@@ -331,10 +422,12 @@ class ExpmTable:
 # below it one LAPACK SVD is the cheaper route, because the Lanczos loop's
 # Python overhead dominates. Boundary problems of at least this order
 # multiply by their generator through its block action
-# (delaylyap.solver.BlockAction) in expm, in the product E expm(E h) that
-# G reads and in ExpmTable; below it the action forms only the dense
+# (delaylyap.solver.BlockAction) in the product E expm(E h) that G reads
+# and in ExpmTable, and take expm(E h) at half the order through the
+# generator's reversal; below it the action forms only the dense
 # generator, because its fixed cost of about 30 us a call loses to the
-# dense product (timings of both crossovers in CHANGES.md).
+# dense product, and expm(E h) keeps its Pade route, so that small
+# systems stay bitwise unchanged (timings in CHANGES.md).
 KRYLOV_MIN_ORDER = 256
 
 

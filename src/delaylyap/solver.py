@@ -33,10 +33,14 @@ identity. ``F1`` and ``F2`` are never formed: ``G`` is built from their
 structure, one row block of ``E expm(E h)`` and copied row blocks of
 ``expm(E h)`` (see :func:`assemble`). Below
 :data:`delaylyap.linalg.KRYLOV_MIN_ORDER` every product with ``E`` is
-dense. From that order on, the exponential's ``A^2`` and ``A u``, the
-product ``E expm(E h)`` and every Taylor step and term of the table go
-through the action; the boundary states and the kernel table keep their
-dense products.
+dense. From that order on, the product ``E expm(E h)`` and every Taylor
+step and term of the table go through the action, and ``expm(E h)`` is
+taken at half the order: :func:`_reversal`, the map that swaps and
+transposes blocks 1 and 2, 3 and 6, and 4 and 5, negates ``E`` exactly,
+so in the sums and differences of paired entries ``E`` is block
+off-diagonal and its exponential is a cosh/sinh pair of order ``ns / 2``
+(see :func:`delaylyap.linalg.expm`). The boundary states and the kernel
+table keep their dense products.
 
 Evaluation takes arrays: :func:`P_at`, the kernel and the stacked state
 accept an array of points and return the values stacked on its axes, so
@@ -76,6 +80,27 @@ def _layout(n, nd):
     the stacked state, ending with its length ``ns``."""
     shapes = ((n, n), (n, n), (n, nd), (n, nd), (nd, n), (nd, n))
     return shapes, tuple(accumulate((r * c for r, c in shapes), initial=0))
+
+
+@cache
+def _reversal(n, nd):
+    """Index map ``pi`` of the reversal of the stacked state: ``w[pi]``
+    swaps blocks 1 and 2, 3 and 6, and 4 and 5, each transposed, so that
+    ``pi[pi]`` is the identity and no index is fixed. The dynamics are odd
+    under it, ``E[pi][:, pi] = -E`` exactly, which pairs the spectrum of
+    ``E`` as ``(lambda, -lambda)``; a solution satisfies ``w(tau)[pi] =
+    w(h - tau)``. The array is read-only, shared by every caller."""
+    shapes, off = _layout(n, nd)
+    pi = np.empty(off[-1], dtype=np.intp)
+    for a, b in ((0, 1), (2, 5), (3, 4)):
+        r, c = shapes[a]
+        # entry (i, j) of block a, at i + j r, pairs with entry (j, i) of
+        # block b, at j + i c
+        partner = off[b] + np.arange(r * c).reshape(r, c).ravel(order="F")
+        pi[off[a]:off[a + 1]] = partner
+        pi[partner] = np.arange(off[a], off[a + 1])
+    pi.flags.writeable = False
+    return pi
 
 
 class OmegaBlocks(NamedTuple):
@@ -194,10 +219,12 @@ class AuxOperator:
 
     ``action`` is the :class:`BlockAction` of ``E`` when ``ns`` is at
     least :data:`delaylyap.linalg.KRYLOV_MIN_ORDER`, and ``None`` below.
-    With it, the exponential's products with ``E``, the product ``E
-    expm_Eh`` in ``G`` and the solution's propagation table go through the
-    block action; without it, every product with ``E`` is dense, because
-    the action's fixed cost of a few calls dominates on small blocks.
+    With it, the product ``E expm_Eh`` in ``G`` and the solution's
+    propagation table go through the block action, and ``expm_Eh`` was
+    taken at half the order through the reversal of the blocks; without
+    it, every product with ``E`` is dense and ``expm_Eh`` is the Pade
+    route's, because the action's fixed cost of a few calls dominates on
+    small blocks.
     """
 
     system: object
@@ -221,6 +248,15 @@ def assemble(sys):
     formed from that structure: its first rows are ``E``'s first block
     row minus the omega2 rows of ``E expm(E h)``, and the rest are
     ``F1``'s identity blocks plus signed row blocks of ``expm(E h)``.
+
+    From :data:`delaylyap.linalg.KRYLOV_MIN_ORDER` on, ``expm(E h)`` is
+    :func:`delaylyap.linalg.expm` with the pairing :func:`_reversal`,
+    under which ``E`` is odd: with ``p`` and ``q`` the sums and
+    differences of the entries of blocks 1, 3 and 4 and of their
+    partners, ``p' = B q`` and ``q' = C p``, and ``expm(E h)`` follows
+    from ``c``, ``s`` and ``d``, the cosh, sinh and cosh-minus-one series
+    of ``W = h^2 B C``, each of order ``ns / 2``, by scaling and
+    double-angle steps. Below that order it is the Pade route's.
     """
     action = BlockAction(sys)
     off = action.off
@@ -236,7 +272,7 @@ def assemble(sys):
         # at any BLAS thread count
         EX2 = (np.concatenate((E[off[1]:], E[:off[1]])) @ expm_Eh)[:off[1]]
     else:
-        expm_Eh = linalg.expm(E, sys.h, action)
+        expm_Eh = linalg.expm(E, sys.h, _reversal(sys.n, sys.internal_dim))
         EX2 = action(expm_Eh)[off[1]:off[2]]
     G = np.zeros((ns, ns))
     G[:off[1]] = E[:off[1]] - EX2
@@ -491,20 +527,19 @@ def residual_collapsed(sol, quad_tol=QUAD_TOL):
 
 def flip_residuals(sol):
     """Defects of the reversal symmetries relating the blocks across the
-    interval at 11 evenly spaced lags, plus the symmetry of block 1 at the
-    origin."""
-    h = sol.system.h
-    taus = np.linspace(0.0, h, 11)
-    om = _omega(sol, np.stack([taus, h - taus]))
-
-    def flip(a, b):
-        return linalg.maxabs(a[0] - b[1].swapaxes(-1, -2))
-
+    interval at 11 evenly spaced lags, ``w(tau)[pi] = w(h - tau)`` for the
+    :func:`_reversal` ``pi``, block by block, plus the symmetry of block 1
+    at the origin."""
+    sys = sol.system
+    n, nd = sys.n, sys.internal_dim
+    taus = np.linspace(0.0, sys.h, 11)
+    w = _stacked_at(sol, np.stack([taus, sys.h - taus]))
+    d = OmegaBlocks.from_stacked(w[0] - w[1][:, _reversal(n, nd)], n, nd)
     o1 = sol.omega0.omega1
     return {
-        "omega1_flip": flip(om.omega1, om.omega2),
-        "omega3_flip": flip(om.omega3, om.omega6),
-        "omega4_flip": flip(om.omega4, om.omega5),
+        "omega1_flip": linalg.maxabs(d.omega1),
+        "omega3_flip": linalg.maxabs(d.omega3),
+        "omega4_flip": linalg.maxabs(d.omega4),
         "omega1_symmetry_at_0": linalg.maxabs(o1 - o1.T),
     }
 

@@ -150,22 +150,61 @@ class TestExpm:
             want = np.array(ref.tolist(), dtype=float)
         assert _relerr(linalg.expm(M, 0.5), want) <= 1e-14
 
-    @pytest.mark.parametrize("r", [0.01, 0.9, 3.0, 40.0])
-    def test_action_takes_the_products_with_the_argument(self, r):
-        # A^2 and the numerator's A u go through the action, so it is called
-        # twice for every degree; the powers, solve and squarings stay dense
-        rng = np.random.default_rng(53)
-        M = rng.standard_normal((30, 30)) / np.sqrt(30)
-        M *= r / np.linalg.norm(M, 1)
-        calls = []
 
-        def action(X, out=None):
-            calls.append(X.shape)
-            return np.matmul(M, X, out=out)
+class TestHalfOrderExpm:
+    # expm with a pairing under which the matrix is odd, M[pi][:, pi] = -M
 
-        got = linalg.expm(M, 0.8, action)
-        assert calls == [(30, 30)] * 2
-        assert _relerr(got, linalg.expm(M, 0.8)) <= 1e-14
+    @staticmethod
+    def generator(sys):
+        """The solver's ``E`` and the reversal under which it is odd."""
+        return solver.assemble(sys).E, solver._reversal(sys.n, sys.internal_dim)
+
+    @staticmethod
+    def odd(m, norm, rng):
+        """A random ``m x m`` matrix of 1-norm ``norm`` that is odd under a
+        random pairing, and the pairing."""
+        half = rng.permutation(m).reshape(2, -1)
+        pi = np.empty(m, dtype=int)
+        pi[half[0]], pi[half[1]] = half[1], half[0]
+        M = rng.standard_normal((m, m))
+        M = M - M[np.ix_(pi, pi)]
+        return M * (norm / np.linalg.norm(M, 1)), pi
+
+    @pytest.mark.parametrize("norm", [0.5, 14.0, 60.0])
+    def test_matches_scipy(self, norm):
+        # no double-angle step, one, and three; the pairs are interleaved
+        M, pi = self.odd(40, norm, np.random.default_rng(71))
+        assert np.array_equal(M[np.ix_(pi, pi)], -M)
+        assert _relerr(linalg.expm(M, 1.0, pi), scipy.linalg.expm(M)) <= 1e-13
+
+    @pytest.mark.parametrize("sys", [benchmark_system()[0],
+                                     random_stable_system(0, 3, 2, h=3.0)],
+                             ids=["benchmark", "n3_nd2_h3"])
+    def test_matches_high_precision(self, sys):
+        mpmath = pytest.importorskip("mpmath")
+        E, pi = self.generator(sys)
+        with mpmath.workdps(50):
+            ref = mpmath.expm(mpmath.matrix(E) * sys.h)
+            want = np.array(ref.tolist(), dtype=float)
+        assert _relerr(linalg.expm(E, sys.h, pi), want) <= 1e-14
+
+    def test_matches_pade(self):
+        # n = nd = 10, ns = 600: three double-angle steps
+        sys = random_stable_system(0, 10, 10)
+        E, pi = self.generator(sys)
+        assert _relerr(linalg.expm(E, sys.h, pi), linalg.expm(E, sys.h)) <= 1e-13
+
+    def test_zero_scale_is_identity(self):
+        E, pi = self.generator(benchmark_system()[0])
+        assert np.array_equal(linalg.expm(E, 0.0, pi), np.eye(E.shape[0]))
+
+    def test_overflow(self):
+        # raised without a RuntimeWarning: by the double-angle steps, and
+        # before the scaling when the squared argument overflows
+        M, pi = self.generator(random_stable_system(0, 3, 2))
+        for scale in (1e3, 1e200):
+            with pytest.raises(OverflowError):
+                linalg.expm(M, scale, pi)
 
 
 def _relerr(got, want):

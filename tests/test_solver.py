@@ -22,7 +22,7 @@ from delaylyap import (
 )
 from delaylyap import linalg, quadrature, solver
 from delaylyap.cli import VALIDATION_BOUNDS
-from delaylyap.solver import BlockAction, OmegaBlocks, _layout
+from delaylyap.solver import BlockAction, OmegaBlocks, _layout, _reversal
 
 from systems import (
     benchmark_sincos_pieces,
@@ -153,6 +153,15 @@ class TestBlockLayout:
             assert np.array_equal(got, [want, 2 * want, -want])
         assert all(np.shares_memory(M, many) for M in om)
 
+    @pytest.mark.parametrize("n,nd", [(1, 1), (2, 3), (3, 2)])
+    def test_reversal_swaps_and_transposes(self, n, nd):
+        w = np.random.default_rng(5).standard_normal(_layout(n, nd)[1][-1])
+        om = OmegaBlocks.from_stacked(w, n, nd)
+        flipped = OmegaBlocks.from_stacked(w[_reversal(n, nd)], n, nd)
+        for i, j in ((0, 1), (2, 5), (3, 4)):
+            assert np.array_equal(flipped[i], om[j].T)
+            assert np.array_equal(flipped[j], om[i].T)
+
     def test_omega_blocks_validation(self):
         with pytest.raises(ValueError):
             OmegaBlocks.from_stacked(np.zeros(7), 1, 1)
@@ -199,6 +208,21 @@ class TestAssembly:
             out = np.empty_like(X)
             assert act(X, out=out) is out
             assert np.array_equal(out, got)
+
+    @pytest.mark.parametrize("n,nd", [(1, 1), (2, 3), (3, 2), (9, 5), (12, 12)])
+    def test_reversal_negates_E_exactly(self, n, nd):
+        # exactly, so that the half-order exponential's p -> p and q -> q
+        # blocks vanish and B = E_II + E_JI, C = E_II - E_JI hold unrounded
+        E = BlockAction(random_stable_system(0, n, nd))(np.eye(_layout(n, nd)[1][-1]))
+        pi = _reversal(n, nd)
+        assert np.array_equal(E[np.ix_(pi, pi)], -E)
+        # I: blocks 1, 3 and 4, the indices below their partners
+        off = _layout(n, nd)[1]
+        I = np.r_[:off[1], off[2]:off[4]]
+        assert np.array_equal(I, np.flatnonzero(np.arange(off[-1]) < pi))
+        J = pi[I]
+        assert np.array_equal(E[np.ix_(J, J)], -E[np.ix_(I, I)])
+        assert np.array_equal(E[np.ix_(I, J)], -E[np.ix_(J, I)])
 
     @pytest.mark.parametrize("case", ["benchmark", "n2", "n6", "grid0", "grid0.7"])
     def test_bitwise_the_kronecker_assembly(self, case):
@@ -266,6 +290,13 @@ class TestLargeOrderRoute:
         dense = linalg.ExpmTable(op.E, sys.h, sol.omega0.stacked)
         taus = np.linspace(0.0, sys.h, 37)
         assert _relerr(sol.omega_table(taus), dense(taus)) <= 1e-13
+
+    def test_overflow(self):
+        # the half-order exponential overflows, and no RuntimeWarning leaks
+        sys = random_stable_system(0, 8, 8, h=20.0)
+        BlockAction(sys)  # the kernel factor expm(-Ad h) is finite
+        with pytest.raises(OverflowError):
+            assemble(sys)
 
     def test_lyapunov_matrix(self, large_order):
         # against a solution whose every product with E is dense
