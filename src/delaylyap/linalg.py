@@ -427,7 +427,8 @@ class ExpmTable:
 # generator's reversal; below it the action forms only the dense
 # generator, because its fixed cost of about 30 us a call loses to the
 # dense product, and expm(E h) keeps its Pade route, so that small
-# systems stay bitwise unchanged (timings in CHANGES.md).
+# systems stay bitwise unchanged (timings in CHANGES.md). Only assemblies
+# below this order are kept per system (delaylyap.solver.assemble).
 KRYLOV_MIN_ORDER = 256
 
 

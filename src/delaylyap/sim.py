@@ -25,7 +25,9 @@ the delayed reads.
 The oracles :func:`cost_to_go` and :func:`oracle_P` share one horizon
 loop (composite Simpson's rule plus an exponential tail, the horizon
 doubled up to ``MAX_DOUBLINGS`` times); :func:`oracle_P` serves a
-sequence of lags from one fundamental-matrix run per horizon.
+sequence of lags from one fundamental-matrix run. Each oracle continues
+one run across its horizons: a doubled horizon steps on from the end of
+the last record, which a fresh run would repeat bit for bit.
 """
 
 import math
@@ -198,11 +200,11 @@ class Trajectory:
         nd = self.ys.shape[1]
         header = ["t"] + ["x_%d" % (i + 1) for i in range(n)] \
             + ["y_%d" % (i + 1) for i in range(nd)]
+        rows = np.column_stack([self.ts, self.xs, self.ys])
+        row = ",".join(["%.17g"] * rows.shape[1]) + "\n"
         with open(path, "w") as fh:
             fh.write(",".join(header) + "\n")
-            for k in range(self.ts.size):
-                row = [self.ts[k], *self.xs[k], *self.ys[k]]
-                fh.write(",".join("%.17g" % v for v in row) + "\n")
+            fh.write(row * rows.shape[0] % tuple(rows.ravel().tolist()))
 
 
 def _resolve_step(h, T, dt):
@@ -241,96 +243,139 @@ def simulate(sys, history, T, dt=None):
     -------
     Trajectory
     """
-    if history.dim != sys.n:
-        raise ValueError(
-            "history dimension %d does not match state dimension %d"
-            % (history.dim, sys.n)
-        )
-    h = sys.h
-    if history.x0 is None and history.thetas[0] > -h + 1e-12 * max(1.0, h):
-        raise ValueError("history samples must cover [-h, 0] with h=%g" % h)
-    dt, m, steps = _resolve_step(h, T, dt)
-    n, nd = sys.n, sys.internal_dim
-    s = n + nd
-    L = 3 * s
-    c = history.columns
-    A0, A1, Ad, Bd, Cd = sys.A0, sys.A1, sys.Ad, sys.Bd, sys.Cd
-    EBd = linalg.expm(Ad, -h) @ Bd
+    return _Run(sys, history, dt).to(T)
 
-    def rhs(x, y, xd):
-        xd = x if xd is None else xd
-        dx = A0 @ x + Cd @ y + A1 @ xd
-        dy = Bd @ x - Ad @ y - EBd @ xd
-        return dx, dy
 
-    def step_matrix(width, delayed):
-        """The RK4 step applied to ``width`` unit vectors, whose first
-        ``s`` rows are the state ``(x, y)``; ``delayed(u)`` gives the
-        delayed argument at the start, middle and end of the step, or
-        ``None`` for the stage's own state. The matrix's rows are the
-        first and the last stage, then the next state; it is returned as
-        its columns on the state and those on the delayed reads."""
-        u = np.eye(width)
-        x, y = u[:n], u[n:s]
-        xd_a, xd_m, xd_b = delayed(u)
-        k1x, k1y = rhs(x, y, xd_a)
-        k2x, k2y = rhs(x + 0.5 * dt * k1x, y + 0.5 * dt * k1y, xd_m)
-        k3x, k3y = rhs(x + 0.5 * dt * k2x, y + 0.5 * dt * k2y, xd_m)
-        k4x, k4y = rhs(x + dt * k3x, y + dt * k3y, xd_b)
-        M = np.concatenate([
-            k1x, k1y, k4x, k4y,
-            x + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x),
-            y + dt / 6.0 * (k1y + 2 * k2y + 2 * k3y + k4y)])
-        return M[:, :s].copy(), M[:, s:].copy()
+class _Run:
+    """One simulation, continued on demand: :meth:`to` returns the
+    trajectory to a horizon, stepping on from the end of the longest one
+    taken so far.
 
-    def record_reads(u):
-        # rows k - m and k - m + 1 of the record, the second up to its x
-        xd_a, xd_b = u[s:s + n], u[s + L:]
-        xd_m = Trajectory._hermite(xd_a, xd_b, u[2 * s:2 * s + n],
-                                   u[3 * s:3 * s + n], dt, 0.5)
-        return xd_a, xd_m, xd_b
+    A fixed-step record does not depend on its length, so each trajectory
+    is bitwise that of a fresh :func:`simulate` to the same horizon. The
+    oracles' doubled horizons therefore step each interval once. A horizon
+    that resolves to another step, as the default step of a system with
+    ``h = 0`` does, starts the record over.
+    """
 
-    # Row k of the record holds x_k, y_k and the first and last stage of
-    # step k, so each step writes its stages and the next state as one
-    # slice. The steps before ``m`` read the delay from the history, the
-    # left limit at the seam; with h = 0 every step is one of them and
-    # reads nothing.
-    record = np.zeros(((steps + 1) * L, c))
-    record[:n] = history.initial_state()
-    record[n:s] = history.convolution_state(sys)
-    if h == 0:
-        m = steps
-        first, later = step_matrix(s, lambda u: (None, None, None)), None
-        history_reads = np.zeros((steps, 0, c))
-    else:
-        first = step_matrix(s + 3 * n, lambda u: np.split(u[s:], 3))
-        later = step_matrix(s + L + n, record_reads)
-        theta = (np.arange(min(m, steps)) - m) * dt
-        times = np.stack([theta, theta + 0.5 * dt, theta + dt], axis=1)
-        history_reads = history.value(np.maximum(times, -h))
-        history_reads[times >= -1e-12 * max(1.0, h)] = history.seam_value()
-        history_reads = history_reads.reshape(theta.size, 3 * n, c)
+    def __init__(self, sys, history, dt=None):
+        if history.dim != sys.n:
+            raise ValueError(
+                "history dimension %d does not match state dimension %d"
+                % (history.dim, sys.n)
+            )
+        h = sys.h
+        if history.x0 is None and history.thetas[0] > -h + 1e-12 * max(1.0, h):
+            raise ValueError("history samples must cover [-h, 0] with h=%g" % h)
+        self.sys, self.history, self.requested_dt = sys, history, dt
+        self.n, self.nd = sys.n, sys.internal_dim
+        self.dt = None
 
-    for k in range(steps):
-        a = k * L
-        if k < m:
-            now, delayed = first
-            out = np.dot(now, record[a:a + s]) + np.dot(delayed, history_reads[k])
+    def _start(self, dt, m):
+        """Build the step matrices for step ``dt`` and an empty record
+        holding the initial state; ``m`` steps span the delay."""
+        sys, history = self.sys, self.history
+        h = sys.h
+        n, nd = self.n, self.nd
+        s = n + nd
+        L = 3 * s
+        c = history.columns
+        A0, A1, Ad, Bd, Cd = sys.A0, sys.A1, sys.Ad, sys.Bd, sys.Cd
+        EBd = linalg.expm(Ad, -h) @ Bd
+
+        def rhs(x, y, xd):
+            xd = x if xd is None else xd
+            dx = A0 @ x + Cd @ y + A1 @ xd
+            dy = Bd @ x - Ad @ y - EBd @ xd
+            return dx, dy
+
+        def step_matrix(width, delayed):
+            """The RK4 step applied to ``width`` unit vectors, whose first
+            ``s`` rows are the state ``(x, y)``; ``delayed(u)`` gives the
+            delayed argument at the start, middle and end of the step, or
+            ``None`` for the stage's own state. The matrix's rows are the
+            first and the last stage, then the next state; it is returned
+            as its columns on the state and those on the delayed reads."""
+            u = np.eye(width)
+            x, y = u[:n], u[n:s]
+            xd_a, xd_m, xd_b = delayed(u)
+            k1x, k1y = rhs(x, y, xd_a)
+            k2x, k2y = rhs(x + 0.5 * dt * k1x, y + 0.5 * dt * k1y, xd_m)
+            k3x, k3y = rhs(x + 0.5 * dt * k2x, y + 0.5 * dt * k2y, xd_m)
+            k4x, k4y = rhs(x + dt * k3x, y + dt * k3y, xd_b)
+            M = np.concatenate([
+                k1x, k1y, k4x, k4y,
+                x + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x),
+                y + dt / 6.0 * (k1y + 2 * k2y + 2 * k3y + k4y)])
+            return M[:, :s].copy(), M[:, s:].copy()
+
+        def record_reads(u):
+            # rows k - m and k - m + 1 of the record, the second up to its x
+            xd_a, xd_b = u[s:s + n], u[s + L:]
+            xd_m = Trajectory._hermite(xd_a, xd_b, u[2 * s:2 * s + n],
+                                       u[3 * s:3 * s + n], dt, 0.5)
+            return xd_a, xd_m, xd_b
+
+        # Row k of the record holds x_k, y_k and the first and last stage
+        # of step k, so each step writes its stages and the next state as
+        # one slice. The first ``m`` steps read the delay from the
+        # history, the left limit at the seam; with h = 0 every step is
+        # one of them and reads nothing.
+        self.record = np.zeros((L, c))
+        self.record[:n] = history.initial_state()
+        self.record[n:s] = history.convolution_state(sys)
+        if h == 0:
+            m = math.inf
+            self.first, self.later = step_matrix(s, lambda u: (None, None, None)), None
+            no_reads = np.zeros((0, c))
+            self.history_reads = lambda k: no_reads
         else:
-            b = a - m * L
-            now, delayed = later
-            out = np.dot(now, record[a:a + s]) + np.dot(delayed, record[b:b + L + n])
-        record[a + s:a + s + L] = out
-        if not np.isfinite(out[2 * s:]).all():
-            raise OverflowError("simulation diverged at t=%g" % ((k + 1) * dt))
+            self.first = step_matrix(s + 3 * n, lambda u: np.split(u[s:], 3))
+            self.later = step_matrix(s + L + n, record_reads)
+            theta = (np.arange(m) - m) * dt
+            times = np.stack([theta, theta + 0.5 * dt, theta + dt], axis=1)
+            reads = history.value(np.maximum(times, -h))
+            reads[times >= -1e-12 * max(1.0, h)] = history.seam_value()
+            self.history_reads = reads.reshape(m, 3 * n, c).__getitem__
+        self.dt, self.m, self.steps = dt, m, 0
 
-    rows = record.reshape(steps + 1, L, c)
-    if np.ndim(history.x0) < 2:  # a vector or a sampled start
-        rows = rows[:, :, 0]
-    X, Y, *stages = np.split(rows, np.cumsum([n, nd, n, nd, n]), axis=1)
-    Xd0, Yd0, Xd1, Yd1 = (d[:-1] for d in stages)
-    return Trajectory(dt * np.arange(steps + 1), *map(
-        np.ascontiguousarray, (X, Y, Xd0, Xd1, Yd0, Yd1)), dt)
+    def _advance(self, steps):
+        """Step the record on from its end to ``steps`` steps."""
+        n, s, m = self.n, self.n + self.nd, self.m
+        L = 3 * s
+        record = np.zeros(((steps + 1) * L, self.history.columns))
+        record[:self.record.shape[0]] = self.record
+        for k in range(self.steps, steps):
+            a = k * L
+            if k < m:
+                now, delayed = self.first
+                reads = self.history_reads(k)
+            else:
+                b = a - m * L
+                now, delayed = self.later
+                reads = record[b:b + L + n]
+            out = np.dot(now, record[a:a + s]) + np.dot(delayed, reads)
+            record[a + s:a + s + L] = out
+            if not np.isfinite(out[2 * s:]).all():
+                raise OverflowError("simulation diverged at t=%g" % ((k + 1) * self.dt))
+        self.record, self.steps = record, steps
+
+    def to(self, T):
+        """The trajectory to the horizon ``T``, as :func:`simulate` runs it."""
+        dt, m, steps = _resolve_step(self.sys.h, T, self.requested_dt)
+        if dt != self.dt:
+            self._start(dt, m)
+        if steps > self.steps:
+            self._advance(steps)
+        n, nd = self.n, self.nd
+        rows = self.record[:(steps + 1) * 3 * (n + nd)] \
+            .reshape(steps + 1, -1, self.history.columns)
+        if np.ndim(self.history.x0) < 2:  # a vector or a sampled start
+            rows = rows[:, :, 0]
+        X, Y, *stages = np.split(rows, np.cumsum([n, nd, n, nd, n]), axis=1)
+        Xd0, Yd0, Xd1, Yd1 = (d[:-1] for d in stages)
+        return Trajectory(dt * np.arange(steps + 1), *map(
+            np.ascontiguousarray, (X, Y, Xd0, Xd1, Yd0, Yd1)), dt)
 
 
 def fundamental_matrix(sys, T, dt=None):
@@ -457,14 +502,16 @@ def cost_to_go(sys, weight, history, T=None, dt=None, tail_tol=TAIL_TOL):
     The doubling also stops once two consecutive horizons show a growing
     integrand; the estimate returned then is not ``decaying``.
     """
-    runs = []
+    record = _Run(sys, history, dt)
+    last = None
 
     def run(T, pending):
-        runs.append(simulate(sys, history, T, dt=dt))
-        return runs[-1].ts, [_running_cost(runs[-1], weight)]
+        nonlocal last
+        last = record.to(T)
+        return last.ts, [_running_cost(last, weight)]
 
     _horizons(sys, T, run, tail_tol)
-    return cost_quadrature(runs[-1], weight), runs[-1]
+    return cost_quadrature(last, weight), last
 
 
 def oracle_P(sys, weight, tau, T=None, dt=None, tail_tol=TAIL_TOL):
@@ -495,9 +542,11 @@ def oracle_P(sys, weight, tau, T=None, dt=None, tail_tol=TAIL_TOL):
     if dt is None:
         dt = sys.h / 64 if sys.h > 0 else 1.0 / 64
 
+    record = _Run(sys, HistorySpec.point_mass(np.eye(sys.n)), dt)
+
     def run(T, pending):
         # margin keeps the shifted reads t + tau inside the record
-        traj = fundamental_matrix(sys, T + lags[pending].max() + 2 * dt, dt=dt)
+        traj = record.to(T + lags[pending].max() + 2 * dt)
         kT = int(round(T / traj.dt))
         ts = traj.ts[: kT + 1]
         samples = []

@@ -18,6 +18,9 @@ singular value of ``G`` grades its solvability (one SVD for a small
 left when the unit rows ``omega3(0) = 0`` and ``omega5(0) = 0`` are split
 off, see :func:`delaylyap.linalg.smallest_singular_value`), one LU
 factorization solves it, and ``omega(h)`` reuses that exponential.
+Only ``rhs`` depends on the weight, so below
+:data:`delaylyap.linalg.KRYLOV_MIN_ORDER` :func:`assemble` keeps ``E``,
+``expm(E h)`` and ``G`` per system, and every weight's solve shares them.
 Inside the interval a solution propagates ``omega(0)`` once, by products
 with ``E`` alone, into a :class:`~delaylyap.linalg.ExpmTable` of ``expm(E
 tau) omega(0)`` on ``[0, h]``, so ``expm(E h)`` is its only dense
@@ -57,6 +60,7 @@ Taylor derivative, so near the ends they compare the table against the
 boundary states it was propagated from.
 """
 
+import weakref
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate
@@ -217,6 +221,12 @@ class AuxOperator:
     the boundary condition (see :func:`assemble`; neither is kept). The
     dimensions ``n`` and ``nd`` are those of ``system``.
 
+    :func:`assemble` returns a new operator on every call. Below
+    :data:`delaylyap.linalg.KRYLOV_MIN_ORDER`, every operator of one
+    system shares the same ``E``, ``expm_Eh`` and ``G``, which the memo
+    keeps for as long as the system lives. ``E``, ``expm_Eh`` and ``G``
+    are read-only at every order.
+
     ``action`` is the :class:`BlockAction` of ``E`` when ``ns`` is at
     least :data:`delaylyap.linalg.KRYLOV_MIN_ORDER`, and ``None`` below.
     With it, the product ``E expm_Eh`` in ``G`` and the solution's
@@ -235,8 +245,27 @@ class AuxOperator:
     action: BlockAction = None
 
 
+# The assembled arrays of each live system of order below
+# linalg.KRYLOV_MIN_ORDER, ``(E, expm_Eh, G, ns, action)``, keyed by the
+# system itself, which is immutable and hashes by identity. No value
+# refers to its system, so an entry goes when its system does. A larger
+# assembly is not kept: its three dense arrays would take 24 ns^2 bytes,
+# 18 MB at ns = 864, for as long as the system lives.
+_assembled = weakref.WeakKeyDictionary()
+
+
 def assemble(sys):
     """Assemble the auxiliary operator of a delay system.
+
+    The operator depends on the system alone: a weight enters only the
+    right-hand side of the boundary condition. So a system of order below
+    :data:`delaylyap.linalg.KRYLOV_MIN_ORDER` is assembled once and its
+    arrays are kept for as long as the system lives; every call returns a
+    new :class:`AuxOperator` over them. A larger system is assembled on
+    every call, since its arrays are large. ``E``, ``expm_Eh`` and ``G``
+    are read-only at every order, since operators may share them. The
+    grade and the solve are not kept: :func:`solve_boundary` takes both
+    on every call.
 
     ``E`` is the system's :class:`BlockAction` applied to the identity.
     The six rows of the boundary pair ``(F1, F2)`` encode: the algebraic
@@ -258,6 +287,17 @@ def assemble(sys):
     of ``W = h^2 B C``, each of order ``ns / 2``, by scaling and
     double-angle steps. Below that order it is the Pade route's.
     """
+    parts = _assembled.get(sys)
+    if parts is None:
+        parts = _assemble_parts(sys)
+        if parts[3] < linalg.KRYLOV_MIN_ORDER:
+            _assembled[sys] = parts
+    return AuxOperator(sys, *parts)
+
+
+def _assemble_parts(sys):
+    """The arrays of :func:`assemble`, ``E``, ``expm_Eh`` and ``G``
+    read-only, then ``ns`` and the action."""
     action = BlockAction(sys)
     off = action.off
     ns = off[-1]
@@ -282,7 +322,9 @@ def assemble(sys):
     # F2's signed identity blocks times expm_Eh: row blocks of expm_Eh
     for i, j, sign in ((1, 1, -1.0), (4, 3, 1.0), (5, 5, 1.0)):
         G[off[i]:off[i + 1]] += sign * expm_Eh[off[j]:off[j + 1]]
-    return AuxOperator(sys, E, expm_Eh, G, ns, action)
+    for M in (E, expm_Eh, G):
+        M.flags.writeable = False
+    return E, expm_Eh, G, ns, action
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,7 +408,13 @@ def solve_boundary(op, weight,
 
 
 def solve(sys, weight):
-    """Assemble and solve in one call, with the default thresholds."""
+    """Assemble and solve in one call, with the default thresholds.
+
+    Below :data:`delaylyap.linalg.KRYLOV_MIN_ORDER` the assembly comes
+    from :func:`assemble`'s memo, keyed by the system object, so solving
+    one system for several weights assembles it once. The solvability
+    grade and the LU solve of :func:`solve_boundary` run on every
+    call."""
     return solve_boundary(assemble(sys), weight)
 
 

@@ -399,7 +399,7 @@ class TestSmallestSingularValue:
         assert linalg.smallest_singular_value(A) == 1.0
 
     def test_krylov_route_singular_core(self):
-        G = solver.assemble(random_stable_system(0, 8, 8)).G
+        G = solver.assemble(random_stable_system(0, 8, 8)).G.copy()
         rows, cols = linalg._unit_rows(G)
         G[:, np.setdiff1d(np.arange(G.shape[1]), cols)[0]] = 0.0
         assert np.array_equal(linalg._unit_rows(G)[0], rows)

@@ -324,6 +324,24 @@ class TestSimulate:
             assert getattr(long, field)[:K].tobytes() \
                 == getattr(short, field).tobytes()
 
+    @pytest.mark.parametrize("case", ["point_mass", "samples", "fundamental",
+                                      "h0", "h0_default_step"])
+    def test_continued_run_is_bitwise_a_fresh_run(self, case):
+        # the oracles continue one run across their horizons: from inside
+        # the first delay interval, past it, and back to a shorter prefix.
+        # With h = 0 the default step follows the horizon, so that run
+        # starts over each time
+        sys, hist, T = recurrence_case(case.replace("_default_step", ""))
+        dt = 1.0 / 64 if case == "h0" else None
+        run = sim._Run(sys, hist, dt)
+        for horizon in (0.4, 2.5, T, 1.7):
+            got, want = run.to(horizon), simulate(sys, hist, horizon, dt=dt)
+            assert got.dt == want.dt
+            for field in ("ts", "xs", "ys", "xd_start", "xd_end", "yd_start",
+                          "yd_end"):
+                assert getattr(got, field).tobytes() \
+                    == getattr(want, field).tobytes()
+
     def test_block_start_keeps_its_column_axis(self):
         # a one-column block runs as the vector does, column axis kept
         sys, _ = benchmark_system()
@@ -408,6 +426,20 @@ class TestTrajectory:
         assert np.array_equal(data[:, 1:3], traj.xs)
         assert np.array_equal(data[:, 3:5], traj.ys)
 
+    def test_csv_is_byte_for_byte_per_row_formatting(self, tmp_path):
+        # one formatting pass writes what per-row "%.17g" joins wrote,
+        # signed zeros included
+        sys, _ = benchmark_system()
+        traj = simulate(sys, HistorySpec.point_mass([1.0, -0.0]), 3.0)
+        assert np.signbit(traj.xs[0, 1])
+        path = tmp_path / "trajectory.csv"
+        traj.to_csv(path)
+        want = ["t,x_1,x_2,y_1,y_2"]
+        for k in range(traj.ts.size):
+            row = [traj.ts[k], *traj.xs[k], *traj.ys[k]]
+            want.append(",".join("%.17g" % v for v in row))
+        assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+
     def test_csv_rejects_matrix_runs(self, tmp_path):
         sys, _ = benchmark_system()
         traj = fundamental_matrix(sys, 1.0)
@@ -490,16 +522,33 @@ def test_simpson_matches_scipy(samples, shape):
 
 @pytest.fixture
 def fm_runs(monkeypatch):
-    """Horizons of the ``sim.fundamental_matrix`` runs made during a test."""
+    """Horizons of the fundamental-matrix runs made during a test: one
+    entry per horizon a run from an identity block is taken to, whether
+    it starts or continues the run."""
     runs = []
-    original = sim.fundamental_matrix
+    original = sim._Run.to
 
-    def counting(sys, T, dt=None):
-        runs.append(T)
-        return original(sys, T, dt=dt)
+    def counting(self, T):
+        if np.ndim(self.history.x0) == 2:
+            runs.append(T)
+        return original(self, T)
 
-    monkeypatch.setattr(sim, "fundamental_matrix", counting)
+    monkeypatch.setattr(sim._Run, "to", counting)
     return runs
+
+
+@pytest.fixture
+def rk4_steps(monkeypatch):
+    """RK4 steps taken during a test, one entry per stretch a run steps."""
+    stretches = []
+    original = sim._Run._advance
+
+    def counting(self, steps):
+        stretches.append(steps - self.steps)
+        return original(self, steps)
+
+    monkeypatch.setattr(sim._Run, "_advance", counting)
+    return stretches
 
 
 class TestOracleP:
@@ -556,6 +605,22 @@ class TestOracleP:
         assert rc == 0
         assert len(fm_runs) == 2
 
+    @pytest.mark.parametrize("oracle", ["oracle_P", "cost_to_go"])
+    def test_doubled_horizon_continues_the_record(self, oracle, fm_runs,
+                                                  rk4_steps):
+        # the run to T = 40 steps on from the end of the run to T = 20, so
+        # every step is taken once
+        sys, weight = benchmark_system()
+        dt = sys.h / 64
+        if oracle == "oracle_P":
+            oracle_P(sys, weight, [0.0, 0.5, 1.0])
+            horizons = list(fm_runs)
+        else:
+            _, traj = cost_to_go(sys, weight, HistorySpec.point_mass([1.0, 0.0]))
+            horizons = [traj.ts[-1]]
+        assert len(rk4_steps) == 2
+        assert sum(rk4_steps) == int(round(max(horizons) / dt))
+
     def test_lag_shape_validation(self):
         sys, weight = benchmark_system()
         for tau in ([], [[0.5]]):
@@ -602,25 +667,22 @@ class TestOracleP:
         sys = TimeDelaySystem([[1.0]], [[0.0]], Ad, Bd, Cd, 1.0)
         weight = Weight([[1.0]])
         runs = []
+        original = sim._Run.to
 
-        def counting(original):
-            def run(*args, **kwargs):
-                runs.append(original.__name__)
-                return original(*args, **kwargs)
-            return run
+        def counting(self, T):
+            runs.append("block" if np.ndim(self.history.x0) == 2 else "vector")
+            return original(self, T)
 
-        monkeypatch.setattr(sim, "fundamental_matrix",
-                            counting(sim.fundamental_matrix))
+        monkeypatch.setattr(sim._Run, "to", counting)
         for tau in (0.0, [0.0, 0.5, 1.0]):
             runs.clear()
             with pytest.raises(RuntimeError, match="grows.*T=20.*T=40"):
                 oracle_P(sys, weight, tau)
-            assert runs == ["fundamental_matrix"] * 2
+            assert runs == ["block"] * 2
 
         runs.clear()
-        monkeypatch.setattr(sim, "simulate", counting(sim.simulate))
         est, traj = cost_to_go(sys, weight, HistorySpec.point_mass([1.0]))
-        assert runs == ["simulate"] * 2
+        assert runs == ["vector"] * 2
         assert not est.decaying
         assert traj.ts[-1] == pytest.approx(40.0)
 

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -256,6 +258,72 @@ class TestAssembly:
         _, F1, F2 = kron_assembly(sys)
         expected = F1 + F2 @ scipy.linalg.expm(op.E * sys.h)
         assert_allclose(op.G, expected, atol=1e-13)
+
+
+# a system below and one above linalg.KRYLOV_MIN_ORDER
+MEMO_ORDERS = pytest.mark.parametrize("n,nd", [(3, 2), (8, 8)], ids=["dense", "krylov"])
+
+
+class TestAssemblyMemo:
+    # below KRYLOV_MIN_ORDER a system is assembled once, and every
+    # weight's solve shares the arrays; from it, each call assembles
+
+    @MEMO_ORDERS
+    def test_second_weight_reuses_the_assembly(self, n, nd, monkeypatch):
+        built = []
+
+        class Counting(BlockAction):
+            def __init__(self, sys):
+                built.append(sys)
+                super().__init__(sys)
+
+        monkeypatch.setattr(solver, "BlockAction", Counting)
+        sys = random_stable_system(2, n, nd)
+        kept = assemble(sys).ns < linalg.KRYLOV_MIN_ORDER
+        solve(sys, Weight(np.eye(n)))
+        weight = Weight(random_symmetric(np.random.default_rng(3), n))
+        sol = solve(sys, weight)
+        assert built == ([sys] if kept else [sys] * 3)
+        # the same system under a new identity is assembled afresh
+        twin = TimeDelaySystem(sys.A0, sys.A1, sys.Ad, sys.Bd, sys.Cd, sys.h)
+        fresh = solve_boundary(assemble(twin), weight)
+        assert built[-1] is twin
+        lags = [0.0, sys.h / 2, sys.h]
+        assert P_at(sol, lags).tobytes() == P_at(fresh, lags).tobytes()
+
+    @MEMO_ORDERS
+    def test_arrays_are_read_only(self, n, nd):
+        sys = random_stable_system(2, n, nd)
+        op = assemble(sys)
+        kept = op.ns < linalg.KRYLOV_MIN_ORDER
+        assert kept == (op.action is None)
+        again = assemble(sys)
+        assert again is not op and again.system is sys
+        for name in ("E", "expm_Eh", "G"):
+            M = getattr(op, name)
+            assert (getattr(again, name) is M) == kept
+            assert not M.flags.writeable
+            with pytest.raises(ValueError):
+                M[0, 0] = 0.0
+
+    @MEMO_ORDERS
+    def test_entry_goes_with_its_system(self, n, nd):
+        # without the cycle collector, so that a reference cycle through
+        # the memo would keep the system alive
+        gc.disable()
+        try:
+            before = len(solver._assembled)
+            sys = random_stable_system(2, n, nd)
+            sol = solve(sys, Weight(np.eye(n)))
+            P_at(sol, sys.h / 2)  # builds the solution's table too
+            kept = sol.op.ns < linalg.KRYLOV_MIN_ORDER
+            assert len(solver._assembled) == before + kept
+            ref = weakref.ref(sys)
+            del sys, sol
+            assert ref() is None
+            assert len(solver._assembled) == before
+        finally:
+            gc.enable()
 
 
 @pytest.fixture(scope="class", params=[(8, 8), (12, 12), (9, 5)],
