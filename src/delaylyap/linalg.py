@@ -17,12 +17,12 @@ Algorithms 34, 2003). :class:`ExpmTable` samples the action of an
 exponential on an interval by truncated Taylor series, from products with
 the matrix alone; it accepts the matrix's action ``X -> M @ X`` in place
 of the dense products with it, so a structured matrix, such as the
-solver's generator at large orders, makes every product of the table
-cheaper. :func:`smallest_singular_value`
-is one LAPACK SVD without vectors for a small or rectangular matrix; a
-large square one has its unit rows split off, the remaining core inverted
-once, and ``1 / sigma_min^2`` taken by Lanczos with full
-reorthogonalization (Golub & Kahan, SIAM J. Numer. Anal. 2, 1965).
+solver's generator, makes every product of the table cheaper.
+:func:`smallest_singular_value` is one LAPACK SVD without vectors for a
+small or rectangular matrix; a large square one has its unit rows split
+off, the remaining core inverted once, and ``1 / sigma_min^2`` taken by
+Lanczos with full reorthogonalization (Golub & Kahan, SIAM J. Numer.
+Anal. 2, 1965).
 """
 
 import math
@@ -417,18 +417,11 @@ class ExpmTable:
         return out.reshape(t.shape + (self.shape if cols == slice(None) else (-1,)))
 
 
-# The order from which the large-order routes are taken. Square matrices
-# of at least this order take the Krylov route of smallest_singular_value;
-# below it one LAPACK SVD is the cheaper route, because the Lanczos loop's
-# Python overhead dominates. Boundary problems of at least this order
-# multiply by their generator through its block action
-# (delaylyap.solver.BlockAction) in the product E expm(E h) that G reads
-# and in ExpmTable, and take expm(E h) at half the order through the
-# generator's reversal; below it the action forms only the dense
-# generator, because its fixed cost of about 30 us a call loses to the
-# dense product, and expm(E h) keeps its Pade route, so that small
-# systems stay bitwise unchanged (timings in CHANGES.md). Only assemblies
-# below this order are kept per system (delaylyap.solver.assemble).
+# Square matrices of at least this order take the Krylov route of
+# smallest_singular_value; below it one LAPACK SVD is the cheaper route,
+# because the Lanczos loop's Python overhead dominates. The solver keeps
+# only assemblies below this order per system (delaylyap.solver.assemble),
+# which bounds the memory its memo holds.
 KRYLOV_MIN_ORDER = 256
 
 

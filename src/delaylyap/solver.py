@@ -34,16 +34,14 @@ multiplies by ``E`` through its blocks, in ``O(ns (n + nd))`` per column
 instead of ``O(ns^2)``, and the dense ``E`` is its product with the
 identity. ``F1`` and ``F2`` are never formed: ``G`` is built from their
 structure, one row block of ``E expm(E h)`` and copied row blocks of
-``expm(E h)`` (see :func:`assemble`). Below
-:data:`delaylyap.linalg.KRYLOV_MIN_ORDER` every product with ``E`` is
-dense. From that order on, the product ``E expm(E h)`` and every Taylor
-step and term of the table go through the action, and ``expm(E h)`` is
-taken at half the order: :func:`_reversal`, the map that swaps and
-transposes blocks 1 and 2, 3 and 6, and 4 and 5, negates ``E`` exactly,
-so in the sums and differences of paired entries ``E`` is block
-off-diagonal and its exponential is a cosh/sinh pair of order ``ns / 2``
-(see :func:`delaylyap.linalg.expm`). The boundary states and the kernel
-table keep their dense products.
+``expm(E h)`` (see :func:`assemble`). At every order the product ``E
+expm(E h)`` and every Taylor step and term of the table go through the
+action, and ``expm(E h)`` is taken at half the order: :func:`_reversal`,
+the map that swaps and transposes blocks 1 and 2, 3 and 6, and 4 and 5,
+negates ``E`` exactly, so in the sums and differences of paired entries
+``E`` is block off-diagonal and its exponential is a cosh/sinh pair of
+order ``ns / 2`` (see :func:`delaylyap.linalg.expm`). The boundary
+states and the kernel table keep their dense products.
 
 Evaluation takes arrays: :func:`P_at`, the kernel and the stacked state
 accept an array of points and return the values stacked on its axes, so
@@ -227,14 +225,10 @@ class AuxOperator:
     keeps for as long as the system lives. ``E``, ``expm_Eh`` and ``G``
     are read-only at every order.
 
-    ``action`` is the :class:`BlockAction` of ``E`` when ``ns`` is at
-    least :data:`delaylyap.linalg.KRYLOV_MIN_ORDER`, and ``None`` below.
-    With it, the product ``E expm_Eh`` in ``G`` and the solution's
-    propagation table go through the block action, and ``expm_Eh`` was
-    taken at half the order through the reversal of the blocks; without
-    it, every product with ``E`` is dense and ``expm_Eh`` is the Pade
-    route's, because the action's fixed cost of a few calls dominates on
-    small blocks.
+    ``action`` is the :class:`BlockAction` of ``E``: the product ``E
+    expm_Eh`` in ``G`` and the solution's propagation table go through it,
+    and ``expm_Eh`` was taken at half the order through the reversal of
+    the blocks. The dense ``E`` spaces the table's nodes.
     """
 
     system: object
@@ -242,7 +236,7 @@ class AuxOperator:
     expm_Eh: np.ndarray
     G: np.ndarray
     ns: int
-    action: BlockAction = None
+    action: BlockAction
 
 
 # The assembled arrays of each live system of order below
@@ -267,7 +261,16 @@ def assemble(sys):
     grade and the solve are not kept: :func:`solve_boundary` takes both
     on every call.
 
-    ``E`` is the system's :class:`BlockAction` applied to the identity.
+    ``E`` is the system's :class:`BlockAction` applied to the identity,
+    and ``expm(E h)`` is :func:`delaylyap.linalg.expm` with the pairing
+    :func:`_reversal`, under which ``E`` is odd: with ``p`` and ``q`` the
+    sums and differences of the entries of blocks 1, 3 and 4 and of their
+    partners, ``p' = B q`` and ``q' = C p``, and ``expm(E h)`` follows
+    from ``c``, ``s`` and ``d``, the cosh, sinh and cosh-minus-one series
+    of ``W = h^2 B C``, each of order ``ns / 2``, by scaling and
+    double-angle steps. An overflow of that exponential raises
+    ``OverflowError`` naming ``h`` and ``||E h||_1``.
+
     The six rows of the boundary pair ``(F1, F2)`` encode: the algebraic
     condition receiving ``-vec(Q)``, whose rows are ``E``'s first block
     row in ``F1`` and minus its second in ``F2``; the matching ``omega1(0)
@@ -275,17 +278,9 @@ def assemble(sys):
     omega5(0) = 0`` and ``omega4(h) = omega6(h) = 0``. Every other block of
     the pair is zero or a signed identity, so ``G = F1 + F2 expm(E h)`` is
     formed from that structure: its first rows are ``E``'s first block
-    row minus the omega2 rows of ``E expm(E h)``, and the rest are
-    ``F1``'s identity blocks plus signed row blocks of ``expm(E h)``.
-
-    From :data:`delaylyap.linalg.KRYLOV_MIN_ORDER` on, ``expm(E h)`` is
-    :func:`delaylyap.linalg.expm` with the pairing :func:`_reversal`,
-    under which ``E`` is odd: with ``p`` and ``q`` the sums and
-    differences of the entries of blocks 1, 3 and 4 and of their
-    partners, ``p' = B q`` and ``q' = C p``, and ``expm(E h)`` follows
-    from ``c``, ``s`` and ``d``, the cosh, sinh and cosh-minus-one series
-    of ``W = h^2 B C``, each of order ``ns / 2``, by scaling and
-    double-angle steps. Below that order it is the Pade route's.
+    row minus the omega2 rows of ``E expm(E h)``, that product taken
+    through the action, and the rest are ``F1``'s identity blocks plus
+    signed row blocks of ``expm(E h)``.
     """
     parts = _assembled.get(sys)
     if parts is None:
@@ -302,20 +297,14 @@ def _assemble_parts(sys):
     off = action.off
     ns = off[-1]
     E = action(np.eye(ns))
-    if ns < linalg.KRYLOV_MIN_ORDER:
-        action = None
-        expm_Eh = linalg.expm(E, sys.h)
-        # F2's first rows are minus E's omega2 rows. Their product with
-        # expm_Eh is taken as the leading rows of a full-size product,
-        # because BLAS sums a row in an order set by its position and the
-        # product's shape: G is then bitwise the literal F1 + F2 @ expm_Eh
-        # at any BLAS thread count
-        EX2 = (np.concatenate((E[off[1]:], E[:off[1]])) @ expm_Eh)[:off[1]]
-    else:
+    try:
         expm_Eh = linalg.expm(E, sys.h, _reversal(sys.n, sys.internal_dim))
-        EX2 = action(expm_Eh)[off[1]:off[2]]
+    except OverflowError as exc:
+        raise OverflowError("expm(E h) overflowed at h = %g, ||E h||_1 = %.3g"
+                            % (sys.h, np.linalg.norm(E, 1) * sys.h)) from exc
     G = np.zeros((ns, ns))
-    G[:off[1]] = E[:off[1]] - EX2
+    # F1's first rows are E's omega1 rows, F2's minus its omega2 rows
+    G[:off[1]] = E[:off[1]] - action(expm_Eh)[off[1]:off[2]]
     # F1's identity blocks, taking column block j of omega(0) to row block i
     for i, j in ((1, 0), (2, 2), (3, 4)):
         np.fill_diagonal(G[off[i]:off[i + 1], off[j]:off[j + 1]], 1.0)

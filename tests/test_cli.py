@@ -13,6 +13,8 @@ import delaylyap
 from delaylyap.cli import main
 from delaylyap.config import default_config, dump_config, parse_config
 
+from systems import random_stable_system
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEMO_CONFIGS = REPO_ROOT / "demos" / "configs"
 # Source root of the delaylyap imported here; child processes import it too.
@@ -258,6 +260,24 @@ class TestCheck:
                    "--tolerance", "singular=1e-30",
                    "--tolerance", "borderline=1.0"])
         assert rc == 2
+
+    def test_overflow_names_the_exponential(self, tmp_path, capsys):
+        sys = random_stable_system(5, 2, 2, h=6.0)
+        payload = {
+            "system": {
+                "A0": sys.A0.tolist(),
+                "A1": sys.A1.tolist(),
+                "h": sys.h,
+                "kernel": {"Ad": sys.Ad.tolist(), "Bd": sys.Bd.tolist(),
+                           "Cd": sys.Cd.tolist()},
+            },
+            "Q": np.eye(2).tolist(),
+        }
+        rc = main(["check", "--config", write_config(tmp_path, payload), "--quiet"])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: expm(E h) overflowed at h = 6, "
+                              "||E h||_1 = ")
 
 
 class TestValidate:

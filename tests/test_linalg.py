@@ -177,9 +177,11 @@ class TestHalfOrderExpm:
         assert np.array_equal(M[np.ix_(pi, pi)], -M)
         assert _relerr(linalg.expm(M, 1.0, pi), scipy.linalg.expm(M)) <= 1e-13
 
+    # ns = 6 (half order 3) is the smallest order the solver sends here
     @pytest.mark.parametrize("sys", [benchmark_system()[0],
-                                     random_stable_system(0, 3, 2, h=3.0)],
-                             ids=["benchmark", "n3_nd2_h3"])
+                                     random_stable_system(0, 3, 2, h=3.0),
+                                     random_stable_system(0, 1, 1)],
+                             ids=["benchmark", "n3_nd2_h3", "n1_nd1"])
     def test_matches_high_precision(self, sys):
         mpmath = pytest.importorskip("mpmath")
         E, pi = self.generator(sys)

@@ -226,24 +226,6 @@ class TestAssembly:
         assert np.array_equal(E[np.ix_(J, J)], -E[np.ix_(I, I)])
         assert np.array_equal(E[np.ix_(I, J)], -E[np.ix_(J, I)])
 
-    @pytest.mark.parametrize("case", ["benchmark", "n2", "n6", "grid0", "grid0.7"])
-    def test_bitwise_the_kronecker_assembly(self, case):
-        if case.startswith("grid"):
-            systems = grid_systems(float(case[4:]))
-        elif case == "benchmark":
-            systems = [benchmark_system()[0]]
-        else:
-            systems = [random_stable_system(0, int(case[1:]), int(case[1:]))]
-        for sys in systems:
-            op = assemble(sys)
-            # below the cutoff every product with E is the dense one
-            assert op.ns < linalg.KRYLOV_MIN_ORDER and op.action is None
-            E, F1, F2 = kron_assembly(sys)
-            expm_Eh = linalg.expm(E, sys.h)
-            for got, want in ((op.E, E), (op.expm_Eh, expm_Eh),
-                              (op.G, F1 + F2 @ expm_Eh)):
-                assert np.array_equal(got, want)
-
     def test_operator_shape(self):
         sys, _ = benchmark_system()
         op = assemble(sys)
@@ -253,11 +235,29 @@ class TestAssembly:
         assert E.shape == F1.shape == F2.shape == (24, 24)
 
     def test_combined_matrix_definition(self):
-        sys, _ = benchmark_system()
-        op = assemble(sys)
-        _, F1, F2 = kron_assembly(sys)
-        expected = F1 + F2 @ scipy.linalg.expm(op.E * sys.h)
-        assert_allclose(op.G, expected, atol=1e-13)
+        # the benchmark, n = nd = 2 and 6, and every n, nd in 1..5 at h = 0
+        # and 0.7: ns from 6 to 216, each through the block action and the
+        # half-order exponential
+        systems = [benchmark_system()[0], random_stable_system(0, 2, 2),
+                   random_stable_system(0, 6, 6), *grid_systems(0.0),
+                   *grid_systems(0.7)]
+        for sys in systems:
+            op = assemble(sys)
+            assert isinstance(op.action, BlockAction)
+            E, F1, F2 = kron_assembly(sys)
+            assert np.array_equal(op.E, E)
+            pi = _reversal(sys.n, sys.internal_dim)
+            assert np.array_equal(op.expm_Eh, linalg.expm(E, sys.h, pi))
+            expm_Eh = scipy.linalg.expm(E * sys.h)
+            assert _relerr(op.expm_Eh, expm_Eh) <= 1e-13
+            assert _relerr(op.G, F1 + F2 @ expm_Eh) <= 1e-13
+
+    def test_overflow_names_the_exponential(self):
+        sys = random_stable_system(5, 2, 2, h=6.0)
+        with pytest.raises(OverflowError, match=r"expm\(E h\) overflowed at "
+                           r"h = 6, \|\|E h\|\|_1 = ") as info:
+            assemble(sys)
+        assert isinstance(info.value.__cause__, OverflowError)
 
 
 # a system below and one above linalg.KRYLOV_MIN_ORDER
@@ -296,7 +296,6 @@ class TestAssemblyMemo:
         sys = random_stable_system(2, n, nd)
         op = assemble(sys)
         kept = op.ns < linalg.KRYLOV_MIN_ORDER
-        assert kept == (op.action is None)
         again = assemble(sys)
         assert again is not op and again.system is sys
         for name in ("E", "expm_Eh", "G"):
@@ -326,22 +325,25 @@ class TestAssemblyMemo:
             gc.enable()
 
 
-@pytest.fixture(scope="class", params=[(8, 8), (12, 12), (9, 5)],
-                ids=["n8", "n12", "n9_nd5"])
+@pytest.fixture(scope="class", params=[None, (3, 2), (8, 8), (12, 12), (9, 5)],
+                ids=["benchmark", "n3_nd2", "n8", "n12", "n9_nd5"])
 def large_order(request):
-    """An operator of order ``KRYLOV_MIN_ORDER`` or more, its identity-weight
-    solution, and the dense exponential of ``E h``."""
-    n, nd = request.param
-    sys = random_stable_system(0, n, nd)
+    """An operator (the benchmark's, ns = 24, or ``random_stable_system(0,
+    n, nd)``'s, ns = 42, 384, 864 and 342), its identity-weight solution,
+    and the dense exponential of ``E h``."""
+    if request.param is None:
+        sys = benchmark_system()[0]
+    else:
+        sys = random_stable_system(0, *request.param)
     op = assemble(sys)
-    assert op.ns >= linalg.KRYLOV_MIN_ORDER
-    sol = solve_boundary(op, Weight(np.eye(n)))
+    sol = solve_boundary(op, Weight(np.eye(sys.n)))
     return sys, op, sol, linalg.expm(op.E, sys.h)
 
 
 class TestLargeOrderRoute:
-    # at order KRYLOV_MIN_ORDER or more, products with E go through the
-    # block action; the dense products are the reference
+    # at every order, products with E go through the block action and
+    # expm(E h) is taken at half the order; the dense products are the
+    # reference
 
     def test_exponential(self, large_order):
         sys, op, _, expm_Eh = large_order
@@ -604,8 +606,12 @@ class TestPropagationTable:
         else:
             sys, weight = random_stable_system(seed, 6, 6), Weight(np.eye(6))
         sol = solve(sys, weight)
-        for tau in (0.0, sys.h):
-            assert np.array_equal(P_at(sol, tau), P_by_expm(sol, tau))
+        # omega(0), and omega(h) through the operator's own expm(E h)
+        ends = [sol.omega0, OmegaBlocks.from_stacked(
+            sol.op.expm_Eh @ sol.omega0.stacked, sys.n, sys.internal_dim)]
+        for tau, (a, b) in ((0.0, ends), (sys.h, ends[::-1])):
+            want = 0.5 * (a.omega1 + b.omega2.T)
+            assert np.array_equal(P_at(sol, tau), want)
         assert "omega_table" not in vars(sol)
         assert "kernel_table" not in vars(sys)
 
