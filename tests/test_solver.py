@@ -235,12 +235,22 @@ class TestAssembly:
         assert E.shape == F1.shape == F2.shape == (24, 24)
 
     def test_combined_matrix_definition(self):
-        # the benchmark, n = nd = 2 and 6, and every n, nd in 1..5 at h = 0
-        # and 0.7: ns from 6 to 216, each through the block action and the
-        # half-order exponential
-        systems = [benchmark_system()[0], random_stable_system(0, 2, 2),
-                   random_stable_system(0, 6, 6), *grid_systems(0.0),
-                   *grid_systems(0.7)]
+        sys, _ = benchmark_system()
+        op = assemble(sys)
+        _, F1, F2 = kron_assembly(sys)
+        expected = F1 + F2 @ scipy.linalg.expm(op.E * sys.h)
+        assert_allclose(op.G, expected, atol=1e-13)
+
+    # ns from 6 to 216, each through the block action and the half-order
+    # exponential
+    @pytest.mark.parametrize("case", ["benchmark", "n2", "n6", "grid0", "grid0.7"])
+    def test_bitwise_the_kronecker_assembly(self, case):
+        if case.startswith("grid"):
+            systems = grid_systems(float(case[4:]))
+        elif case == "benchmark":
+            systems = [benchmark_system()[0]]
+        else:
+            systems = [random_stable_system(0, int(case[1:]), int(case[1:]))]
         for sys in systems:
             op = assemble(sys)
             assert isinstance(op.action, BlockAction)
@@ -248,6 +258,12 @@ class TestAssembly:
             assert np.array_equal(op.E, E)
             pi = _reversal(sys.n, sys.internal_dim)
             assert np.array_equal(op.expm_Eh, linalg.expm(E, sys.h, pi))
+            # below the algebraic rows, G is F1 plus signed row blocks of
+            # expm(E h): no product rounds there
+            G = F1 + F2 @ op.expm_Eh
+            m = sys.n ** 2
+            assert np.array_equal(op.G[m:], G[m:])
+            assert _relerr(op.G, G) <= 1e-13
             expm_Eh = scipy.linalg.expm(E * sys.h)
             assert _relerr(op.expm_Eh, expm_Eh) <= 1e-13
             assert _relerr(op.G, F1 + F2 @ expm_Eh) <= 1e-13
