@@ -156,16 +156,15 @@ def _taylor_degree(norm=0.5):
 
 
 # The half-order exponential's series run on Z = W / 4^k with ||Z||_1 <=
-# _HALF_THETA, so on x = sqrt(Z) of norm at most 4, where degree 33 in x
-# (_taylor_degree(4), as for ExpmTable's steps), 16 in Z, truncates below
-# unit roundoff. On the tests' large-order generators (n, nd = 8 8, 12 12
-# and 9 5) the result is within 7.1e-15 of the Pade route at this bound,
-# against 1.8e-14 at 4 and 9.1e-14 at 1, at about the same cost: fewer
-# double-angle steps lose less to rounding.
+# _HALF_THETA, so on x = sqrt(Z) of norm at most 4. Degree
+# _taylor_degree(sqrt(||Z||_1)) in x, half that in Z, truncates below unit
+# roundoff: 16 in Z at this bound, fewer for a smaller Z. On the tests'
+# large-order generators (n, nd = 8 8, 12 12 and 9 5) the result is within
+# 7.1e-15 of the Pade route at this bound, against 1.8e-14 at 4 and 9.1e-14
+# at 1, at about the same cost: fewer double-angle steps lose less to
+# rounding.
 _HALF_THETA = 16.0
 _HALF_DEGREE = _taylor_degree(math.sqrt(_HALF_THETA)) // 2  # 16
-# The powers Z^0 .. Z^b that Horner's rule in Z^b reads, b ~ sqrt(degree)
-_HALF_BLOCK = math.isqrt(_HALF_DEGREE)
 # sinh(x) / x = sum z^k / (2k + 1)! and (cosh(x) - 1) / z = sum z^k / (2k + 2)!
 _SINH_SERIES = [1 / math.factorial(2 * k + 1) for k in range(_HALF_DEGREE + 1)]
 _COSH_SERIES = [1 / math.factorial(2 * k + 2) for k in range(_HALF_DEGREE + 1)]
@@ -199,11 +198,12 @@ def _half_order_expm(M, scale, pi):
     where ``c``, ``s`` and ``d`` are ``cosh(x)``, ``sinh(x) / x`` and
     ``(cosh(x) - 1) / x^2`` at ``x = sqrt(z)``: the square-reduced idea
     for Hamiltonian matrices (Van Loan, LAA 61, 1984). ``s`` and ``d`` are
-    Taylor series on ``Z = W / 4^k``, ``c = I + Z d``, and ``k``
-    double-angle steps ``s <- s c``, ``d <- d (I + c) / 2``, ``c <- 2 c^2
-    - I``, all from the old ``c``, undo the scaling, as for the matrix
-    cosine (Higham & Smith, Numer. Algorithms 34, 2003). Every product has
-    half the order of ``M``, an eighth of the cost, and there is no solve.
+    Taylor series on ``Z = W / 4^k``, of the degree that ``||Z||_1``
+    needs, ``c = I + Z d``, and ``k`` double-angle steps ``s <- s c``,
+    ``d <- d (I + c) / 2``, ``c <- 2 c^2 - I``, all from the old ``c``,
+    undo the scaling, as for the matrix cosine (Higham & Smith, Numer.
+    Algorithms 34, 2003). Every product has half the order of ``M``, an
+    eighth of the cost, and there is no solve.
     """
     I = np.flatnonzero(np.arange(M.shape[0]) < pi)
     J = pi[I]
@@ -217,14 +217,17 @@ def _half_order_expm(M, scale, pi):
         raise OverflowError("matrix exponential overflowed: "
                             "the squared argument is not finite")
     steps = math.ceil(math.log2(norm / _HALF_THETA) / 2) if norm > _HALF_THETA else 0
+    degree = _taylor_degree(math.sqrt(norm * 4.0 ** -steps)) // 2
+    # the powers Z^0 .. Z^b that Horner's rule in Z^b reads, b ~ sqrt(degree)
+    block = max(1, math.isqrt(degree))
     m = W.shape[0]
-    P = np.empty((_HALF_BLOCK + 1, m, m), dtype=W.dtype)
+    P = np.empty((block + 1, m, m), dtype=W.dtype)
     P[0] = np.eye(m)
     np.multiply(W, 4.0 ** -steps, out=P[1])
-    for k in range(2, _HALF_BLOCK + 1):
+    for k in range(2, block + 1):
         np.matmul(P[k - 1], P[1], out=P[k])
-    sinhc = _horner(_SINH_SERIES, P)
-    d = _horner(_COSH_SERIES, P)
+    sinhc = _horner(_SINH_SERIES[:degree + 1], P)
+    d = _horner(_COSH_SERIES[:degree + 1], P)
     c = P[1] @ d
     c.flat[::m + 1] += 1.0
     del P
@@ -239,14 +242,16 @@ def _half_order_expm(M, scale, pi):
     X21 = C @ sinhc
     X22 = C @ (d @ B)
     X22.flat[::m + 1] += 1.0
-    # back from (p, q) to (w_I, w_J) = ((p + q) / 2, (p - q) / 2)
+    # back from (p, q) to (w_I, w_J) = ((p + q) / 2, (p - q) / 2): the
+    # blocks written to their rows of the result, columns in the order [I, J]
     S, D = c + X22, c - X22
     O, Q = X12 + X21, X12 - X21
-    pq = np.block([[S + O, D - Q], [D + Q, S - O]])
+    pq = np.empty(M.shape, dtype=S.dtype)
+    for rows, left, right in ((I, S + O, D - Q), (J, D + Q, S - O)):
+        pq[rows, :m] = left
+        pq[rows, m:] = right
     pq *= 0.5
-    # pq is the result with rows and columns in the order [I, J]
-    inv = np.argsort(np.concatenate([I, J]))
-    return pq.take(inv, axis=0).take(inv, axis=1)
+    return pq.take(np.argsort(np.concatenate([I, J])), axis=1)
 
 
 def expm(M, scale=1.0, pairing=None):

@@ -18,9 +18,10 @@ singular value of ``G`` grades its solvability (one SVD for a small
 left when the unit rows ``omega3(0) = 0`` and ``omega5(0) = 0`` are split
 off, see :func:`delaylyap.linalg.smallest_singular_value`), one LU
 factorization solves it, and ``omega(h)`` reuses that exponential.
-Only ``rhs`` depends on the weight, so below
-:data:`delaylyap.linalg.KRYLOV_MIN_ORDER` :func:`assemble` keeps ``E``,
-``expm(E h)`` and ``G`` per system, and every weight's solve shares them.
+Only ``rhs`` depends on the weight, so :func:`assemble` grades ``G`` when
+it forms it, and below :data:`delaylyap.linalg.KRYLOV_MIN_ORDER` keeps
+``E``, ``expm(E h)``, ``G`` and that grade per system: every weight's
+solve shares them, and only the LU solve runs per weight.
 Inside the interval a solution propagates ``omega(0)`` once, by products
 with ``E`` alone, into a :class:`~delaylyap.linalg.ExpmTable` of ``expm(E
 tau) omega(0)`` on ``[0, h]``, so ``expm(E h)`` is its only dense
@@ -219,11 +220,16 @@ class AuxOperator:
     the boundary condition (see :func:`assemble`; neither is kept). The
     dimensions ``n`` and ``nd`` are those of ``system``.
 
+    ``sigma_min`` and ``max_abs`` are the grade of ``G``, its smallest
+    singular value and its largest entry magnitude, taken once when ``G``
+    is formed. :func:`delaylyap.spectrum.check` reads them and applies its
+    thresholds on every call, so no verdict is kept.
+
     :func:`assemble` returns a new operator on every call. Below
     :data:`delaylyap.linalg.KRYLOV_MIN_ORDER`, every operator of one
-    system shares the same ``E``, ``expm_Eh`` and ``G``, which the memo
-    keeps for as long as the system lives. ``E``, ``expm_Eh`` and ``G``
-    are read-only at every order.
+    system shares the same ``E``, ``expm_Eh``, ``G`` and grade, which the
+    memo keeps for as long as the system lives. ``E``, ``expm_Eh`` and
+    ``G`` are read-only at every order.
 
     ``action`` is the :class:`BlockAction` of ``E``: the product ``E
     expm_Eh`` in ``G`` and the solution's propagation table go through it,
@@ -235,16 +241,18 @@ class AuxOperator:
     E: np.ndarray
     expm_Eh: np.ndarray
     G: np.ndarray
+    sigma_min: float
+    max_abs: float
     ns: int
     action: BlockAction
 
 
-# The assembled arrays of each live system of order below
-# linalg.KRYLOV_MIN_ORDER, ``(E, expm_Eh, G, ns, action)``, keyed by the
-# system itself, which is immutable and hashes by identity. No value
-# refers to its system, so an entry goes when its system does. A larger
-# assembly is not kept: its three dense arrays would take 24 ns^2 bytes,
-# 18 MB at ns = 864, for as long as the system lives.
+# The assembly of each live system of order below linalg.KRYLOV_MIN_ORDER,
+# ``(E, expm_Eh, G, sigma_min, max_abs, ns, action)``, keyed by the system
+# itself, which is immutable and hashes by identity. No value refers to
+# its system, so an entry goes when its system does. A larger assembly is
+# not kept: its three dense arrays would take 24 ns^2 bytes, 18 MB at ns =
+# 864, for as long as the system lives.
 _assembled = weakref.WeakKeyDictionary()
 
 
@@ -257,9 +265,15 @@ def assemble(sys):
     arrays are kept for as long as the system lives; every call returns a
     new :class:`AuxOperator` over them. A larger system is assembled on
     every call, since its arrays are large. ``E``, ``expm_Eh`` and ``G``
-    are read-only at every order, since operators may share them. The
-    grade and the solve are not kept: :func:`solve_boundary` takes both
-    on every call.
+    are read-only at every order, since operators may share them.
+
+    Solvability is a property of the system alone, so ``G`` is graded
+    here, once per assembly: :func:`delaylyap.linalg.smallest_singular_value`
+    gives ``sigma_min`` (one SVD below the cutoff, Lanczos on one inverse
+    of ``G``'s core from it) and :func:`delaylyap.linalg.maxabs` gives
+    ``max_abs``. A kept system keeps its grade with its arrays, so every
+    weight's :func:`solve_boundary` shares it; the thresholds and the LU
+    solve run on every call. A non-finite ``G`` raises ``ValueError``.
 
     ``E`` is the system's :class:`BlockAction` applied to the identity,
     and ``expm(E h)`` is :func:`delaylyap.linalg.expm` with the pairing
@@ -285,14 +299,15 @@ def assemble(sys):
     parts = _assembled.get(sys)
     if parts is None:
         parts = _assemble_parts(sys)
-        if parts[3] < linalg.KRYLOV_MIN_ORDER:
+        if parts[5] < linalg.KRYLOV_MIN_ORDER:
             _assembled[sys] = parts
     return AuxOperator(sys, *parts)
 
 
 def _assemble_parts(sys):
-    """The arrays of :func:`assemble`, ``E``, ``expm_Eh`` and ``G``
-    read-only, then ``ns`` and the action."""
+    """The fields of :func:`assemble`'s operator after ``system``: ``E``,
+    ``expm_Eh`` and ``G`` read-only, the grade of ``G``, ``ns`` and the
+    action."""
     action = BlockAction(sys)
     off = action.off
     ns = off[-1]
@@ -313,7 +328,8 @@ def _assemble_parts(sys):
         G[off[i]:off[i + 1]] += sign * expm_Eh[off[j]:off[j + 1]]
     for M in (E, expm_Eh, G):
         M.flags.writeable = False
-    return E, expm_Eh, G, ns, action
+    return (E, expm_Eh, G, linalg.smallest_singular_value(G), linalg.maxabs(G),
+            ns, action)
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,12 +371,11 @@ def solve_boundary(op, weight,
                    borderline=spectrum_mod.BORDERLINE_THRESHOLD):
     """Solve the boundary condition for the initial stacked state.
 
-    The smallest singular value that :func:`delaylyap.spectrum.check`
-    takes of ``G`` decides whether the system has a solution: one SVD
-    below :data:`delaylyap.linalg.KRYLOV_MIN_ORDER`, a Lanczos estimate on
-    one inverse of ``G``'s core at or above it. What remains is one LU
-    solve of ``G x = rhs``, the residual rows of ``rhs`` being ``-vec(Q)``
-    and zeros.
+    :func:`delaylyap.spectrum.check` applies ``hard`` and ``borderline``
+    to the grade of ``G`` that :func:`assemble` took, which decides
+    whether the system has a solution; no decomposition is taken here.
+    What remains is one LU solve of ``G x = rhs``, the residual rows of
+    ``rhs`` being ``-vec(Q)`` and zeros.
 
     Parameters
     ----------
@@ -386,7 +401,7 @@ def solve_boundary(op, weight,
         raise ValueError(
             "weight dimension %d does not match state dimension %d" % (weight.n, n)
         )
-    report = spectrum_mod.check(op.G, hard=hard, borderline=borderline)
+    report = spectrum_mod.check(op, hard=hard, borderline=borderline)
     if report.verdict == spectrum_mod.VIOLATED:
         raise spectrum_mod.SpectrumConditionViolated(report)
     rhs = np.zeros(op.ns)
@@ -399,11 +414,11 @@ def solve_boundary(op, weight,
 def solve(sys, weight):
     """Assemble and solve in one call, with the default thresholds.
 
-    Below :data:`delaylyap.linalg.KRYLOV_MIN_ORDER` the assembly comes
-    from :func:`assemble`'s memo, keyed by the system object, so solving
-    one system for several weights assembles it once. The solvability
-    grade and the LU solve of :func:`solve_boundary` run on every
-    call."""
+    Below :data:`delaylyap.linalg.KRYLOV_MIN_ORDER` the assembly and its
+    solvability grade come from :func:`assemble`'s memo, keyed by the
+    system object, so solving one system for several weights assembles
+    and grades it once. The thresholds and the LU solve of
+    :func:`solve_boundary` run on every call."""
     return solve_boundary(assemble(sys), weight)
 
 

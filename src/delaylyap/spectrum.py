@@ -6,7 +6,10 @@ the combined boundary matrix being nonsingular, so the check here grades
 the smallest singular value of that matrix relative to its largest entry.
 :func:`delaylyap.linalg.smallest_singular_value` takes it from one SVD of a
 small matrix and from a Lanczos iteration on one inverse of a large one's
-core; a matrix with a non-finite entry is refused.
+core; a matrix with a non-finite entry is refused. The grade depends on the
+system alone, so :func:`delaylyap.solver.assemble` takes it once when it
+forms the matrix, and :func:`check` reads it from the operator; only the
+thresholds are applied per call.
 """
 
 from dataclasses import dataclass
@@ -55,6 +58,11 @@ class SpectrumConditionViolated(RuntimeError):
 def check(op, hard=HARD_THRESHOLD, borderline=BORDERLINE_THRESHOLD):
     """Grade the solvability of an assembled operator.
 
+    An operator carries the grade of its boundary matrix, ``sigma_min``
+    and ``max_abs``, taken when it was assembled, and no decomposition is
+    taken here; a bare matrix is decomposed on every call. The thresholds
+    are applied on every call, so no verdict is kept.
+
     Parameters
     ----------
     op : AuxOperator or (m, m) array_like
@@ -69,11 +77,14 @@ def check(op, hard=HARD_THRESHOLD, borderline=BORDERLINE_THRESHOLD):
     Raises
     ------
     ValueError
-        If the matrix has a non-finite entry.
+        If a bare matrix has a non-finite entry; for an operator,
+        :func:`delaylyap.solver.assemble` raised it instead.
     """
-    G = np.asarray(getattr(op, "G", op), dtype=float)
-    sigma = linalg.smallest_singular_value(G)
-    scale = linalg.maxabs(G)
+    if hasattr(op, "sigma_min"):
+        sigma, scale = op.sigma_min, op.max_abs
+    else:
+        G = np.asarray(op, dtype=float)
+        sigma, scale = linalg.smallest_singular_value(G), linalg.maxabs(G)
     relative = sigma / scale if scale > 0 else 0.0
     if relative < hard:
         verdict = VIOLATED

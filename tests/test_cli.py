@@ -240,6 +240,12 @@ class TestCheck:
         assert rc == 0
         assert "solvability: satisfied" in capsys.readouterr().out
 
+    def test_takes_one_svd(self, decompositions):
+        rc = main(["check", "--config", str(DEMO_CONFIGS / "example1.json"),
+                   "--quiet"])
+        assert rc == 0
+        assert (decompositions["svd"], decompositions["lanczos"]) == (1, 0)
+
     def test_violated(self, tmp_path):
         cfg = write_config(tmp_path, ZERO_ROOT)
         out = tmp_path / "out"

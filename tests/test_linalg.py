@@ -170,9 +170,10 @@ class TestHalfOrderExpm:
         M = M - M[np.ix_(pi, pi)]
         return M * (norm / np.linalg.norm(M, 1)), pi
 
-    @pytest.mark.parametrize("norm", [0.5, 14.0, 60.0])
+    @pytest.mark.parametrize("norm", [1e-20, 1e-3, 0.5, 14.0, 60.0])
     def test_matches_scipy(self, norm):
-        # no double-angle step, one, and three; the pairs are interleaved
+        # series of degree 0, 2 and 5 in Z with no double-angle step, then
+        # of degree 14 after one and three; the pairs are interleaved
         M, pi = self.odd(40, norm, np.random.default_rng(71))
         assert np.array_equal(M[np.ix_(pi, pi)], -M)
         assert _relerr(linalg.expm(M, 1.0, pi), scipy.linalg.expm(M)) <= 1e-13

@@ -281,8 +281,9 @@ MEMO_ORDERS = pytest.mark.parametrize("n,nd", [(3, 2), (8, 8)], ids=["dense", "k
 
 
 class TestAssemblyMemo:
-    # below KRYLOV_MIN_ORDER a system is assembled once, and every
-    # weight's solve shares the arrays; from it, each call assembles
+    # below KRYLOV_MIN_ORDER a system is assembled and graded once, and
+    # every weight's solve shares the arrays and the grade; from it, each
+    # call assembles and grades
 
     @MEMO_ORDERS
     def test_second_weight_reuses_the_assembly(self, n, nd, monkeypatch):
@@ -339,6 +340,33 @@ class TestAssemblyMemo:
             assert len(solver._assembled) == before
         finally:
             gc.enable()
+
+    def test_weights_share_one_grade(self, decompositions):
+        sys = random_stable_system(2, 3, 2)
+        rng = np.random.default_rng(5)
+        for Q in (np.eye(3), random_symmetric(rng, 3), random_symmetric(rng, 3)):
+            solve(sys, Weight(Q))
+        assert (decompositions["svd"], decompositions["lanczos"]) == (1, 0)
+
+    def test_thresholds_apply_on_every_call(self):
+        # the memo keeps the grade, never a verdict
+        sys, weight = benchmark_system()
+        op = assemble(sys)
+        relative = op.sigma_min / op.max_abs
+        with pytest.raises(SpectrumConditionViolated) as info:
+            solve_boundary(assemble(sys), weight, hard=2 * relative)
+        assert info.value.report.relative == relative
+        sol = solve(sys, weight)
+        assert sol.op.G is op.G
+        assert sol.spectrum.verdict == "satisfied"
+
+    def test_large_system_is_graded_per_assembly(self, decompositions):
+        sys = random_stable_system(2, 8, 8)
+        assemble(sys)
+        assert (decompositions["svd"], decompositions["lanczos"]) == (0, 1)
+        assemble(sys)
+        solve(sys, Weight(np.eye(8)))
+        assert (decompositions["svd"], decompositions["lanczos"]) == (0, 3)
 
 
 @pytest.fixture(scope="class", params=[None, (3, 2), (8, 8), (12, 12), (9, 5)],
@@ -484,41 +512,38 @@ class TestBoundarySolve:
         assert report.relative == report.sigma_min / report.max_abs
 
     @staticmethod
-    def _svd_calls_in_solve(op, weight, monkeypatch):
-        """SVD calls, numpy's and scipy's, made by ``solve_boundary``; its
-        ``omega0`` must be numpy's plain LU solve, bitwise."""
-        calls = []
-        for mod, name in ((scipy.linalg, "svd"), (scipy.linalg, "svdvals"),
-                          (np.linalg, "svd")):
-            def counting(*args, _fn=getattr(mod, name), **kwargs):
-                calls.append(_fn)
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(mod, name, counting)
+    def _solve_bitwise(op, weight):
+        """``solve_boundary``, whose ``omega0`` must be numpy's plain LU
+        solve, bitwise."""
         sol = solve_boundary(op, weight)
-        monkeypatch.undo()
         rhs = np.zeros(op.ns)
         rhs[: op.system.n ** 2] = -weight.matrix.reshape(-1, order="F")
         assert np.array_equal(sol.omega0.stacked, np.linalg.solve(op.G, rhs))
-        return len(calls)
 
     @pytest.mark.parametrize("seed", [None, 0])
-    def test_one_decomposition_decides_and_solves(self, seed, monkeypatch):
-        # below the Krylov cutoff, the SVD that grades solvability is the
-        # only one taken of G
+    def test_one_decomposition_decides_and_solves(self, seed, decompositions):
+        # below the Krylov cutoff, the assembly takes the one SVD of G that
+        # grades solvability, and the solve takes none
         if seed is None:
             sys, weight = benchmark_system()
         else:
             sys, weight = random_stable_system(seed, 6, 6), Weight(np.eye(6))
         op = assemble(sys)
         assert op.ns < linalg.KRYLOV_MIN_ORDER
-        assert self._svd_calls_in_solve(op, weight, monkeypatch) == 1
+        assert (decompositions["svd"], decompositions["lanczos"]) == (1, 0)
+        decompositions.clear()
+        self._solve_bitwise(op, weight)
+        assert not decompositions
 
-    def test_large_system_takes_no_svd(self, monkeypatch):
-        # at n = 12 (ns = 864) solvability is graded by Lanczos on one
-        # inverse of G's core
+    def test_large_system_takes_no_svd(self, decompositions):
+        # at n = 12 (ns = 864) the assembly grades solvability by Lanczos
+        # on one inverse of G's core, and the solve takes no decomposition
         op = assemble(random_stable_system(0, 12, 12))
         assert op.ns >= linalg.KRYLOV_MIN_ORDER
-        assert self._svd_calls_in_solve(op, Weight(np.eye(12)), monkeypatch) == 0
+        assert (decompositions["svd"], decompositions["lanczos"]) == (0, 1)
+        decompositions.clear()
+        self._solve_bitwise(op, Weight(np.eye(12)))
+        assert not decompositions
 
     @pytest.mark.parametrize("n", [8, 12])
     @pytest.mark.parametrize("make", [mirror_root_system, scalar_zero_root])

@@ -60,6 +60,18 @@ class TestCheck:
         assert check_spectrum(op, hard=1e-12,
                               borderline=0.5).verdict == "borderline"
 
+    @pytest.mark.parametrize("make", [lambda: benchmark_system()[0],
+                                      lambda: scalar_zero_root()[0],
+                                      lambda: random_stable_system(0, 8, 8)],
+                             ids=["svd", "zero_root", "lanczos"])
+    def test_operator_reads_its_grade(self, make, decompositions):
+        # the operator's grade was taken when it was assembled
+        op = assemble(make())
+        decompositions.clear()
+        report = check_spectrum(op)
+        assert not decompositions
+        assert report == check_spectrum(op.G)
+
     def test_zero_matrix(self):
         report = check_spectrum(np.zeros((2, 2)))
         assert report.verdict == "violated"
