@@ -123,12 +123,13 @@ def _verdict_exit(report):
 
 
 def _solve_from_config(cfg):
-    """The solution of a parsed configuration and the seconds its boundary
-    solve took."""
-    op = solver.assemble(config_mod.build_system(cfg))
+    """The solution of a parsed configuration and the seconds its assembly,
+    solvability grade and boundary solve took."""
+    sys_ = config_mod.build_system(cfg)
+    weight = config_mod.build_weight(cfg)
     t0 = time.perf_counter()
     sol = solver.solve_boundary(
-        op, config_mod.build_weight(cfg),
+        solver.assemble(sys_), weight,
         hard=cfg["tolerances"]["singular"],
         borderline=cfg["tolerances"]["borderline"],
     )

@@ -204,13 +204,21 @@ def _half_order_expm(M, scale, pi):
     undo the scaling, as for the matrix cosine (Higham & Smith, Numer.
     Algorithms 34, 2003). Every product has half the order of ``M``, an
     eighth of the cost, and there is no solve.
+
+    Each array of half the order is freed after its last use, and the
+    result is written once, row half by row half. At most ten such arrays
+    are live at once: in the series ``B``, ``C``, up to five powers of
+    ``Z``, one finished series and two temporaries of Horner's rule; at
+    the end the result (four), the two row halves (two each) and one row
+    half in the result's column order.
     """
     I = np.flatnonzero(np.arange(M.shape[0]) < pi)
     J = pi[I]
-    cols = M.take(I, axis=1)
-    MII, MJI = cols.take(I, axis=0), cols.take(J, axis=0)
+    MII = M.take(I, axis=0).take(I, axis=1)
+    MJI = M.take(J, axis=0).take(I, axis=1)
     B = (MII + MJI) * scale
     C = (MII - MJI) * scale
+    del MII, MJI
     W = B @ C
     norm = _norm1(W)
     if not math.isfinite(norm):
@@ -224,6 +232,7 @@ def _half_order_expm(M, scale, pi):
     P = np.empty((block + 1, m, m), dtype=W.dtype)
     P[0] = np.eye(m)
     np.multiply(W, 4.0 ** -steps, out=P[1])
+    del W
     for k in range(2, block + 1):
         np.matmul(P[k - 1], P[1], out=P[k])
     sinhc = _horner(_SINH_SERIES[:degree + 1], P)
@@ -241,17 +250,22 @@ def _half_order_expm(M, scale, pi):
     X12 = sinhc @ B
     X21 = C @ sinhc
     X22 = C @ (d @ B)
+    del sinhc, d, B, C
     X22.flat[::m + 1] += 1.0
-    # back from (p, q) to (w_I, w_J) = ((p + q) / 2, (p - q) / 2): the
-    # blocks written to their rows of the result, columns in the order [I, J]
+    # back from (p, q) to (w_I, w_J) = ((p + q) / 2, (p - q) / 2): rows I
+    # and J of the result, columns in the order [I, J], then scattered
     S, D = c + X22, c - X22
     O, Q = X12 + X21, X12 - X21
-    pq = np.empty(M.shape, dtype=S.dtype)
-    for rows, left, right in ((I, S + O, D - Q), (J, D + Q, S - O)):
-        pq[rows, :m] = left
-        pq[rows, m:] = right
-    pq *= 0.5
-    return pq.take(np.argsort(np.concatenate([I, J])), axis=1)
+    del c, X12, X21, X22
+    top = np.concatenate([S + O, D - Q], axis=1)
+    bottom = np.concatenate([D + Q, S - O], axis=1)
+    del S, D, O, Q
+    order = np.argsort(np.concatenate([I, J]))
+    out = np.empty(M.shape, dtype=top.dtype)
+    for rows, half in ((I, top), (J, bottom)):
+        half *= 0.5
+        out[rows] = half.take(order, axis=1)
+    return out
 
 
 def expm(M, scale=1.0, pairing=None):

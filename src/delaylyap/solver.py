@@ -35,9 +35,11 @@ multiplies by ``E`` through its blocks, in ``O(ns (n + nd))`` per column
 instead of ``O(ns^2)``, and the dense ``E`` is its product with the
 identity. ``F1`` and ``F2`` are never formed: ``G`` is built from their
 structure, one row block of ``E expm(E h)`` and copied row blocks of
-``expm(E h)`` (see :func:`assemble`). At every order the product ``E
-expm(E h)`` and every Taylor step and term of the table go through the
-action, and ``expm(E h)`` is taken at half the order: :func:`_reversal`,
+``expm(E h)`` (see :func:`assemble`). Only that row block of the product,
+the rows landing in block 2, is formed, by
+:meth:`BlockAction.omega2_rows`. At every order those rows and every
+Taylor step and term of the table go through the action, and ``expm(E
+h)`` is taken at half the order: :func:`_reversal`,
 the map that swaps and transposes blocks 1 and 2, 3 and 6, and 4 and 5,
 negates ``E`` exactly, so in the sums and differences of paired entries
 ``E`` is block off-diagonal and its exponential is a cosh/sinh pair of
@@ -161,9 +163,11 @@ class BlockAction:
     nd, n + 2 nd)`` coefficient matrix, kept transposed as
     :attr:`right_T`. Blocks 1, 2, 5 and 6
     all have ``n`` columns, and the left products landing in blocks 2, 5
-    and 6 are :attr:`left` times ``[o1; o2; o5; o6]``, one product batched
-    over those columns. Per column of ``X`` that is ``O(ns (n + nd))``
-    work against ``O(ns^2)`` for ``E @ X``.
+    and 6 are :attr:`left` times ``[o1; o2; o5; o6]``, batched over those
+    columns: its leading ``n`` rows give block 2, which
+    :meth:`omega2_rows` also forms alone, and the rest blocks 5 and 6. Per
+    column of ``X`` that is ``O(ns (n + nd))`` work against ``O(ns^2)``
+    for ``E @ X``.
     """
 
     def __init__(self, sys):
@@ -198,15 +202,30 @@ class BlockAction:
         R = (self.right_T @ X[:off[4]].reshape(2 * n + 2 * nd, -1)).reshape(-1, p)
         Y[:off[1]] = R[:n * n]
         Y[off[2]:off[4]] = R[n * n:]
-        # blocks 2, 5 and 6: [o2'; o5'; o6'] = left [o1; o2; o5; o6], batched
-        # over the n columns of those blocks, column j of the product at [j]
-        V = np.concatenate([X[off[i]:off[i + 1]].reshape(n, -1, p)
-                            for i in (0, 1, 4, 5)], axis=1)
-        L = self.left @ V
-        Y[off[1]:off[2]].reshape(n, n, p)[...] = L[:, :n]
-        Y[off[4]:off[5]].reshape(n, nd, p)[...] = L[:, n:n + nd]
-        Y[off[5]:].reshape(n, nd, p)[...] = L[:, n + nd:]
+        # blocks 2, 5 and 6: [o2'; o5'; o6'] = left [o1; o2; o5; o6], block 2
+        # from the leading n rows of left as in omega2_rows
+        V = self._columns(X)
+        Y[off[1]:off[2]] = (self.left[:n] @ V).reshape(-1, p)
+        L = self.left[n:] @ V
+        Y[off[4]:off[5]].reshape(n, nd, p)[...] = L[:, :nd]
+        Y[off[5]:].reshape(n, nd, p)[...] = L[:, nd:]
         return out
+
+    def omega2_rows(self, X):
+        """The rows of ``E @ X`` that land in block 2, ``(E @ X)[off[1]:
+        off[2]]``, bitwise as :meth:`__call__` writes them, without the
+        rest of the product."""
+        X = np.asarray(X)
+        V = self._columns(X.reshape(X.shape[0], -1))
+        return (self.left[:self.n] @ V).reshape((self.n ** 2,) + X.shape[1:])
+
+    def _columns(self, X):
+        """``[o1; o2; o5; o6]`` of the 2-d ``X``, batched over the ``n``
+        columns of those blocks: shape ``(n, 2 n + 2 nd, p)``, column
+        ``j`` at ``[j]``."""
+        n, off, p = self.n, self.off, X.shape[1]
+        return np.concatenate([X[off[i]:off[i + 1]].reshape(n, -1, p)
+                               for i in (0, 1, 4, 5)], axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,8 +250,8 @@ class AuxOperator:
     memo keeps for as long as the system lives. ``E``, ``expm_Eh`` and
     ``G`` are read-only at every order.
 
-    ``action`` is the :class:`BlockAction` of ``E``: the product ``E
-    expm_Eh`` in ``G`` and the solution's propagation table go through it,
+    ``action`` is the :class:`BlockAction` of ``E``: the block-2 rows of
+    ``E expm_Eh`` in ``G`` and the solution's propagation table go through it,
     and ``expm_Eh`` was taken at half the order through the reversal of
     the blocks. The dense ``E`` spaces the table's nodes.
     """
@@ -292,9 +311,16 @@ def assemble(sys):
     omega5(0) = 0`` and ``omega4(h) = omega6(h) = 0``. Every other block of
     the pair is zero or a signed identity, so ``G = F1 + F2 expm(E h)`` is
     formed from that structure: its first rows are ``E``'s first block
-    row minus the omega2 rows of ``E expm(E h)``, that product taken
-    through the action, and the rest are ``F1``'s identity blocks plus
-    signed row blocks of ``expm(E h)``.
+    row minus the omega2 rows of ``E expm(E h)``, and the rest are
+    ``F1``'s identity blocks plus signed row blocks of ``expm(E h)``. Only
+    those ``n^2`` rows of the product are formed, by
+    :meth:`BlockAction.omega2_rows`, never the whole ``E expm(E h)``.
+
+    With the exponential's temporaries freed as it goes (see
+    :func:`delaylyap.linalg._half_order_expm`), the assembly's peak is
+    the Lanczos grade's inverse of the core of ``G`` on top of ``E``,
+    ``expm(E h)`` and ``G``: about five ``ns x ns`` arrays in all at
+    ``n = nd = 8``.
     """
     parts = _assembled.get(sys)
     if parts is None:
@@ -319,7 +345,7 @@ def _assemble_parts(sys):
                             % (sys.h, np.linalg.norm(E, 1) * sys.h)) from exc
     G = np.zeros((ns, ns))
     # F1's first rows are E's omega1 rows, F2's minus its omega2 rows
-    G[:off[1]] = E[:off[1]] - action(expm_Eh)[off[1]:off[2]]
+    np.subtract(E[:off[1]], action.omega2_rows(expm_Eh), out=G[:off[1]])
     # F1's identity blocks, taking column block j of omega(0) to row block i
     for i, j in ((1, 0), (2, 2), (3, 4)):
         np.fill_diagonal(G[off[i]:off[i + 1], off[j]:off[j + 1]], 1.0)

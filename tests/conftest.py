@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -27,3 +28,24 @@ def decompositions(monkeypatch):
     monkeypatch.setattr(linalg, "_smallest_singular_value_krylov",
                         counting("lanczos", linalg._smallest_singular_value_krylov))
     return calls
+
+
+@pytest.fixture
+def traced_peak():
+    """``peak(fn, *args)`` calls ``fn`` and returns its result and the most
+    bytes that tracemalloc saw allocated at once during the call, beyond
+    what was allocated when it started; numpy reports its arrays' data.
+    The result counts while it is alive."""
+    def peak(fn, *args):
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            out = fn(*args)
+            return out, tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+    return peak

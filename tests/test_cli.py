@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -200,6 +201,20 @@ class TestSolve:
         report = (out / "report.txt").read_text()
         assert "solvability: satisfied" in report
         assert "P(0) =" in report
+
+    def test_solve_seconds_times_the_assembly(self, tmp_path, monkeypatch):
+        assemble = delaylyap.solver.assemble
+
+        def slow(sys):
+            time.sleep(0.3)
+            return assemble(sys)
+
+        monkeypatch.setattr(delaylyap.solver, "assemble", slow)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(DEMO_CONFIGS / "example1.json"),
+                     "--out", str(out), "--quiet"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["solve_seconds"] >= 0.3
 
     def test_deterministic(self, tmp_path):
         cfg = write_config(tmp_path, BENCHMARK)

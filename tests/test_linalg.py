@@ -197,6 +197,15 @@ class TestHalfOrderExpm:
         E, pi = self.generator(sys)
         assert _relerr(linalg.expm(E, sys.h, pi), linalg.expm(E, sys.h)) <= 1e-13
 
+    def test_peak_memory(self, traced_peak):
+        # n = nd = 8, ns = 384: at most ten arrays of order ns / 2, 2.5 of
+        # order ns, are live at once, the result counted
+        sys = random_stable_system(0, 8, 8)
+        E, pi = self.generator(sys)
+        X, peak = traced_peak(linalg.expm, E, sys.h, pi)
+        assert np.array_equal(X, linalg.expm(E, sys.h, pi))
+        assert peak <= 3 * E.nbytes
+
     def test_zero_scale_is_identity(self):
         E, pi = self.generator(benchmark_system()[0])
         assert np.array_equal(linalg.expm(E, 0.0, pi), np.eye(E.shape[0]))

@@ -268,6 +268,32 @@ class TestAssembly:
             assert _relerr(op.expm_Eh, expm_Eh) <= 1e-13
             assert _relerr(op.G, F1 + F2 @ expm_Eh) <= 1e-13
 
+    @pytest.mark.parametrize("case", ["benchmark", "n2", "n6", "grid0", "grid0.7"])
+    def test_omega2_rows_are_the_action_rows(self, case):
+        if case.startswith("grid"):
+            systems = grid_systems(float(case[4:]))
+        elif case == "benchmark":
+            systems = [benchmark_system()[0]]
+        else:
+            systems = [random_stable_system(0, int(case[1:]), int(case[1:]))]
+        rng = np.random.default_rng(73)
+        for sys in systems:
+            op = assemble(sys)
+            act = op.action
+            rows = slice(act.off[1], act.off[2])
+            for X in (op.expm_Eh, rng.standard_normal(op.ns),
+                      rng.standard_normal((op.ns, 4, 5))):
+                got = act.omega2_rows(X)
+                assert got.shape == (sys.n ** 2,) + X.shape[1:]
+                assert np.array_equal(got, act(X)[rows])
+
+    def test_peak_memory(self, traced_peak):
+        # n = nd = 8, ns = 384: E, expm(E h) and G, plus the grade's core
+        # inverse at the peak; no full product E expm(E h) is formed
+        sys = random_stable_system(0, 8, 8)
+        op, peak = traced_peak(assemble, sys)
+        assert peak <= 5.5 * op.G.nbytes
+
     def test_overflow_names_the_exponential(self):
         sys = random_stable_system(5, 2, 2, h=6.0)
         with pytest.raises(OverflowError, match=r"expm\(E h\) overflowed at "
