@@ -467,11 +467,13 @@ def _largest_eigenvalue(apply, m):
     after ``m`` steps, where it is exact. Returns ``inf`` if the operator
     overflows.
     """
-    Q = np.empty((m, m))  # Lanczos vectors as rows; only those used are touched
+    Q = np.empty((1, m))  # Lanczos vectors as rows, doubled as steps need
     alpha, beta = np.zeros(m), np.zeros(m)
     q = np.random.default_rng(0).standard_normal(m)
     q /= np.linalg.norm(q)
     for j in range(m):
+        if j == len(Q):
+            Q = np.concatenate([Q, np.empty((min(j, m - j), m))])
         Q[j] = q
         w = apply(q)
         alpha[j] = q @ w

@@ -55,12 +55,6 @@ def _rule_sums(f, a, b, panels, order=ORDER):
     return np.cumsum(terms, axis=1)[:, -1]
 
 
-def fixed_quad(f, a, b, panels=8, order=10):
-    """Integrate ``f`` over ``[a, b]`` with a fixed composite rule, calling
-    ``f`` once with all of the rule's nodes."""
-    return _rule_sums(lambda x, i: f(x), [a], [b], panels, order)[0]
-
-
 def integrate_batch(f, a, b, tol):
     """Integrate ``f`` over each interval ``[a[j], b[j]]`` of the 1-d arrays
     of ends ``a`` and ``b``, doubling the panels of all pending integrals

@@ -13,8 +13,9 @@ shows the two forms agree.
 Integration is a fixed-step RK4 method of steps with the step an integer
 fraction of the delay, so every propagated discontinuity sits on a grid
 node and the scheme keeps fourth order on each smooth piece. Delayed
-reads during the first delay interval take the history's value, with the
-left limit used at the seam; later reads come from the computed record,
+reads during the first delay interval take the history's value, which at
+the seam is its left limit (zero for a point mass, ``phi(0)`` for a
+function history); later reads come from the computed record,
 interpolated with cubic Hermite segments built from the stored stage
 derivatives. The system is linear with constant coefficients, so one
 step, Hermite midpoint included, is one fixed matrix: :func:`simulate`
@@ -32,7 +33,6 @@ the last record, which a fresh run would repeat bit for bit.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -47,19 +47,19 @@ TAIL_TOL = 1e-5
 
 @dataclass(frozen=True, eq=False)
 class HistorySpec:
-    """Initial history segment on ``[-h, 0]``.
+    """Initial data of a run: the state ``x0`` at time zero and the
+    history ``phi`` on ``[-h, 0]``.
 
-    Two kinds are supported: a point mass (zero history, state jumps to
-    ``x0`` at time zero), and a sampled segment interpolated with a cubic
-    spline, which holds no ``x0``. A point mass may be an ``(n, c)``
-    block, run as ``c`` columns at once; the identity block gives the
-    fundamental matrix.
+    A point mass has a zero history, the state jumping to ``x0`` at time
+    zero; it may be an ``(n, c)`` block, run as ``c`` columns at once, and
+    the identity block gives the fundamental matrix. A function history
+    is continuous at the seam: ``phi`` maps an array of ``theta`` to
+    values of shape ``theta.shape + (n,)``, and ``x0 = phi(0)``.
     """
 
     dim: int
-    x0: np.ndarray = None
-    thetas: np.ndarray = None
-    values: np.ndarray = None
+    x0: np.ndarray
+    phi: object = None
 
     @classmethod
     def point_mass(cls, x0):
@@ -68,69 +68,44 @@ class HistorySpec:
             raise ValueError("x0 must be a nonempty vector or matrix")
         if not np.isfinite(x0).all():
             raise ValueError("x0 contains non-finite entries")
-        return cls(x0.shape[0], x0=x0)
+        return cls(x0.shape[0], x0)
 
     @classmethod
-    def from_samples(cls, thetas, values):
-        thetas = np.asarray(thetas, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if thetas.ndim != 1 or thetas.size < 2:
-            raise ValueError("need at least two history samples")
-        if not (np.isfinite(thetas).all() and np.isfinite(values).all()):
-            raise ValueError("history samples contain non-finite entries")
-        if np.any(np.diff(thetas) <= 0):
-            raise ValueError("history sample times must be strictly increasing")
-        if thetas[-1] != 0.0:
-            raise ValueError("history samples must end at theta = 0")
-        if values.ndim not in (1, 2) or values.shape[0] != thetas.size:
-            raise ValueError("values must have shape (k,) or (k, n), k = %d" % thetas.size)
-        values = values.reshape(thetas.size, -1)
-        return cls(values.shape[1], thetas=thetas, values=values)
+    def from_function(cls, phi):
+        x0 = np.asarray(phi(0.0), dtype=float)
+        if x0.ndim != 1 or x0.size == 0:
+            raise ValueError("phi(0) must be a nonempty vector, got shape %s"
+                             % (x0.shape,))
+        if not np.isfinite(x0).all():
+            raise ValueError("phi(0) contains non-finite entries")
+        return cls(x0.size, x0, phi)
 
     @property
     def columns(self):
         return self.x0.shape[1] if np.ndim(self.x0) == 2 else 1
 
-    @cached_property
-    def _spline(self):
-        import scipy.interpolate  # only sampled histories need it
-
-        return scipy.interpolate.CubicSpline(
-            self.thetas, self.values, axis=0, bc_type="natural"
-        )
-
     def initial_state(self):
         """State at time zero, shape ``(n, columns)``."""
-        if self.x0 is None:
-            return self._spline(0.0)[:, None]
         return self.x0.reshape(self.dim, -1).copy()
 
     def value(self, theta):
-        """History value for ``theta < 0``, shape ``(n, columns)``, stacked
-        on the axes of an array of ``theta``."""
+        """History value for ``theta`` in ``[-h, 0]``, shape ``(n,
+        columns)``, stacked on the axes of an array of ``theta``. At
+        ``theta = 0`` it is the left limit: zero for a point mass, ``phi(0)``
+        for a function."""
         theta = np.asarray(theta, dtype=float)
-        if self.x0 is not None:
+        if self.phi is None:
             return np.zeros(theta.shape + (self.dim, self.columns))
-        return self._spline(np.maximum(theta, self.thetas[0]))[..., None]
-
-    def seam_value(self):
-        """Value used when a delayed read lands exactly at time zero.
-
-        A point mass jumps at zero, so reads from the left take the history
-        limit, not the post-jump state.
-        """
-        if self.x0 is None:
-            return self._spline(0.0)[:, None]
-        return np.zeros((self.dim, self.columns))
+        return np.asarray(self.phi(theta), dtype=float)[..., None]
 
     def convolution_state(self, sys):
-        """Initial internal variable ``int_{-h}^0 expm(Ad th) Bd phi(th) dth``."""
-        nd = sys.internal_dim
-        if self.x0 is not None or sys.h == 0:
-            return np.zeros((nd, self.columns))
+        """Initial internal variable ``int_{-h}^0 expm(Ad th) Bd phi(th) dth``,
+        zero for a point mass."""
+        if self.phi is None or sys.h == 0:
+            return np.zeros((sys.internal_dim, self.columns))
 
         def f(theta):
-            return kernel_exp(sys, theta) @ sys.Bd @ self._spline(theta)[..., None]
+            return kernel_exp(sys, theta) @ sys.Bd @ self.value(theta)
 
         return integrate(f, -sys.h, 0.0, tol=1e-12)
 
@@ -264,9 +239,6 @@ class _Run:
                 "history dimension %d does not match state dimension %d"
                 % (history.dim, sys.n)
             )
-        h = sys.h
-        if history.x0 is None and history.thetas[0] > -h + 1e-12 * max(1.0, h):
-            raise ValueError("history samples must cover [-h, 0] with h=%g" % h)
         self.sys, self.history, self.requested_dt = sys, history, dt
         self.n, self.nd = sys.n, sys.internal_dim
         self.dt = None
@@ -316,14 +288,9 @@ class _Run:
                                        u[3 * s:3 * s + n], dt, 0.5)
             return xd_a, xd_m, xd_b
 
-        # Row k of the record holds x_k, y_k and the first and last stage
-        # of step k, so each step writes its stages and the next state as
-        # one slice. The first ``m`` steps read the delay from the
-        # history, the left limit at the seam; with h = 0 every step is
-        # one of them and reads nothing.
-        self.record = np.zeros((L, c))
-        self.record[:n] = history.initial_state()
-        self.record[n:s] = history.convolution_state(sys)
+        # The first ``m`` steps read the delay from the history, whose value
+        # at theta = 0 is its left limit; with h = 0 every step is one of
+        # them and reads nothing.
         if h == 0:
             m = math.inf
             self.first, self.later = step_matrix(s, lambda u: (None, None, None)), None
@@ -334,9 +301,22 @@ class _Run:
             self.later = step_matrix(s + L + n, record_reads)
             theta = (np.arange(m) - m) * dt
             times = np.stack([theta, theta + 0.5 * dt, theta + dt], axis=1)
-            reads = history.value(np.maximum(times, -h))
-            reads[times >= -1e-12 * max(1.0, h)] = history.seam_value()
+            times = np.maximum(times, -h)
+            reads = history.value(times)
+            if reads.shape != times.shape + (n, c):
+                raise ValueError("phi returned shape %s for theta of shape %s, "
+                                 "not theta.shape + (%d,)"
+                                 % (reads.shape[:-1], times.shape, n))
+            bad = ~np.isfinite(reads).all(axis=(-2, -1))
+            if bad.any():
+                raise ValueError("phi is not finite at theta = %g" % times[bad][0])
             self.history_reads = reads.reshape(m, 3 * n, c).__getitem__
+        # Row k of the record holds x_k, y_k and the first and last stage
+        # of step k, so each step writes its stages and the next state as
+        # one slice.
+        self.record = np.zeros((L, c))
+        self.record[:n] = history.initial_state()
+        self.record[n:s] = history.convolution_state(sys)
         self.dt, self.m, self.steps = dt, m, 0
 
     def _advance(self, steps):
@@ -370,7 +350,7 @@ class _Run:
         n, nd = self.n, self.nd
         rows = self.record[:(steps + 1) * 3 * (n + nd)] \
             .reshape(steps + 1, -1, self.history.columns)
-        if np.ndim(self.history.x0) < 2:  # a vector or a sampled start
+        if np.ndim(self.history.x0) < 2:  # a vector start
             rows = rows[:, :, 0]
         X, Y, *stages = np.split(rows, np.cumsum([n, nd, n, nd, n]), axis=1)
         Xd0, Yd0, Xd1, Yd1 = (d[:-1] for d in stages)

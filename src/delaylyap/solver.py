@@ -319,8 +319,9 @@ def assemble(sys):
     With the exponential's temporaries freed as it goes (see
     :func:`delaylyap.linalg._half_order_expm`), the assembly's peak is
     the Lanczos grade's inverse of the core of ``G`` on top of ``E``,
-    ``expm(E h)`` and ``G``: about five ``ns x ns`` arrays in all at
-    ``n = nd = 8``.
+    ``expm(E h)`` and ``G``: under four and a half ``ns x ns`` arrays in
+    all at ``n = nd = 8``, the Lanczos vectors kept only for the steps
+    taken.
     """
     parts = _assembled.get(sys)
     if parts is None:

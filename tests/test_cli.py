@@ -560,9 +560,8 @@ class TestEntryPoints:
     @pytest.mark.parametrize("module", ["scipy.interpolate", "scipy.integrate",
                                         "scipy.linalg", "scipy"])
     def test_import_leaves_out(self, module):
-        # only a sampled history needs a spline, and no command builds one;
-        # the oracles' Simpson rule and the matrix exponential are the
-        # package's own
+        # the package imports no scipy: the oracles' Simpson rule and the
+        # matrix exponential are its own
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, delaylyap; "
              "print(%r in sys.modules)" % module],

@@ -40,7 +40,7 @@ def solve_ivp_reference(sys, history, T, rtol=1e-11):
         s = t - h
         if s <= 0:
             if s >= -1e-12:
-                return history.seam_value()[:, 0]
+                return history.value(0.0)[:, 0]
             return history.value(s)[:, 0]
         j = int(np.ceil(s / h)) - 1
         return pieces[j](min(s, (j + 1) * h))[:n]
@@ -99,7 +99,7 @@ def reference_simulate(sys, history, T, dt=None):
 
     def history_read(theta):
         if theta >= -1e-12 * max(1.0, h):
-            return history.seam_value()
+            return history.value(0.0)
         return history.value(max(theta, -h))
 
     for k in range(steps):
@@ -135,15 +135,19 @@ def reference_simulate(sys, history, T, dt=None):
     return X, Y, Xd0, Xd1, Yd0, Yd1
 
 
+def wave(theta):
+    """A smooth history of the benchmark system, ``(cos 2 th, sin 2 th)``."""
+    return np.stack([np.cos(2 * theta), np.sin(2 * theta)], axis=-1)
+
+
 def recurrence_case(case):
-    """System, history and horizon of one reference-recurrence case."""
+    """System, history and horizon of one reference-recurrence case; the
+    ``"samples"`` case runs the smooth history :func:`wave`."""
     sys, _ = benchmark_system()
-    thetas = np.linspace(-1.0, 0.0, 201)
     if case == "point_mass":
         return sys, HistorySpec.point_mass([1.0, -0.5]), 6.0
     if case == "samples":
-        values = np.column_stack([np.cos(2 * thetas), np.sin(2 * thetas)])
-        return sys, HistorySpec.from_samples(thetas, values), 6.0
+        return sys, HistorySpec.from_function(wave), 6.0
     if case == "fundamental":
         return sys, HistorySpec.point_mass(np.eye(2)), 6.0
     # h = 0: the delayed argument is the state itself
@@ -157,7 +161,8 @@ class TestHistorySpec:
         assert hist.dim == 2 and hist.columns == 1
         assert np.array_equal(hist.initial_state(), [[1.0], [2.0]])
         assert np.all(hist.value(-0.5) == 0)
-        assert np.all(hist.seam_value() == 0)
+        # the left limit at the seam, not the state after the jump
+        assert np.all(hist.value(0.0) == 0)
 
     def test_fundamental(self):
         # the identity block: a point mass of one column per state
@@ -174,53 +179,37 @@ class TestHistorySpec:
             HistorySpec.point_mass(x0)
 
     def test_samples_interpolation(self):
-        thetas = np.linspace(-1.0, 0.0, 201)
-        values = np.cos(2.0 * thetas)[:, None]
-        hist = HistorySpec.from_samples(thetas, values)
+        # a function history reads phi, and its state at zero is phi(0)
+        hist = HistorySpec.from_function(lambda th: np.cos(2.0 * th)[..., None])
         assert hist.columns == 1
         assert_allclose(hist.initial_state(), [[1.0]], atol=1e-12)
         assert_allclose(hist.value(-0.37), [[np.cos(-0.74)]], atol=1e-8)
-        assert_allclose(hist.seam_value(), [[1.0]], atol=1e-12)
+        assert_allclose(hist.value(0.0), [[1.0]], atol=1e-12)
         # an array of lags is one read, stacked on the array's axes
-        lags = np.array([[-0.37, -1.0, -1.5], [-0.5, -1e-3, 0.0]])
+        lags = np.array([[-0.37, -1.0, -0.75], [-0.5, -1e-3, 0.0]])
         assert np.array_equal(hist.value(lags),
                               [[hist.value(t) for t in row] for row in lags])
 
-    def test_samples_validation(self):
-        with pytest.raises(ValueError):
-            HistorySpec.from_samples([-1.0], [[1.0]])
-        with pytest.raises(ValueError):
-            HistorySpec.from_samples([0.0, -1.0], [[1.0], [2.0]])
-        with pytest.raises(ValueError):
-            HistorySpec.from_samples([-1.0, -0.5], [[1.0], [2.0]])
-        # values must be (k,) or (k, n): neither a scalar nor a 3-d stack
-        for values in (1.0, np.zeros((3, 2, 2))):
-            with pytest.raises(ValueError, match=r"\(k,\) or \(k, n\)"):
-                HistorySpec.from_samples([-1.0, -0.5, 0.0], values)
+    @pytest.mark.parametrize("phi", [lambda th: np.cos(th), lambda th: np.zeros(0),
+                                     lambda th: np.eye(2) * np.cos(th)],
+                             ids=["scalar", "empty", "matrix"])
+    def test_function_value_at_zero_is_a_vector(self, phi):
+        with pytest.raises(ValueError, match=r"phi\(0\) must be a nonempty vector"):
+            HistorySpec.from_function(phi)
 
-    def test_spline_built_once(self, monkeypatch):
-        import scipy.interpolate
-
-        built = []
-        spline = scipy.interpolate.CubicSpline
-
-        def counting(*args, **kwargs):
-            built.append(args)
-            return spline(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.interpolate, "CubicSpline", counting)
+    def test_function_must_be_vectorised(self):
+        # phi of a grid of theta gives one value per theta
         sys, _ = benchmark_system()
-        thetas = np.linspace(-1.0, 0.0, 201)
-        hist = HistorySpec.from_samples(thetas, np.cos(2 * thetas)[:, None] * [1.0, 0.5])
-        simulate(sys, hist, 2.0)
-        assert len(built) == 1
+        hist = HistorySpec.from_function(lambda th: np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match=r"phi returned shape \(2,\) for theta "
+                           r"of shape \(64, 3\), not theta.shape \+ \(2,\)"):
+            simulate(sys, hist, 2.0)
 
     def test_convolution_state_closed_form(self):
         # scalar kernel: y(0) = c (1 - e^-(a+b) h) / (a + b) for phi = e^(a th)
         a, b, c = 0.5, 0.3, 2.0
         sys = TimeDelaySystem([[-1.0]], [[0.0]], [[b]], [[c]], [[1.0]], 1.0)
-        thetas = np.linspace(-1.0, 0.0, 401)
-        hist = HistorySpec.from_samples(thetas, np.exp(a * thetas)[:, None])
+        hist = HistorySpec.from_function(lambda th: np.exp(a * th)[..., None])
         expected = c * (1.0 - np.exp(-(a + b))) / (a + b)
         assert_allclose(hist.convolution_state(sys), [[expected]], atol=1e-8)
 
@@ -275,7 +264,7 @@ class TestSimulate:
     def test_internal_variable_tracks_convolution(self):
         # y(t) must equal the kernel-weighted moving average of x, so a run
         # of the augmented system solves the original delay equation; the
-        # point-mass, sampled and identity-block starts each run once
+        # point-mass, function and identity-block starts each run once
         for case in ("point_mass", "samples", "fundamental"):
             sys, hist, _ = recurrence_case(case)
             traj = simulate(sys, hist, 4.0)
@@ -289,9 +278,7 @@ class TestSimulate:
 
     def test_sampled_history_run(self):
         sys, _ = benchmark_system()
-        thetas = np.linspace(-1.0, 0.0, 201)
-        values = np.column_stack([np.cos(2 * thetas), np.sin(2 * thetas)])
-        hist = HistorySpec.from_samples(thetas, values)
+        hist = HistorySpec.from_function(wave)
         ref = solve_ivp_reference(sys, hist, 2.0)
         traj = simulate(sys, hist, 2.0)
         assert np.array_equal(traj.xs[0], hist.initial_state()[:, 0])
@@ -366,13 +353,6 @@ class TestSimulate:
         sys, _ = benchmark_system()
         with pytest.raises(ValueError):
             simulate(sys, HistorySpec.point_mass([1.0]), 2.0)
-
-    def test_history_must_cover_delay(self):
-        sys, _ = benchmark_system()
-        hist = HistorySpec.from_samples(
-            np.linspace(-0.5, 0.0, 11), np.zeros((11, 2)))
-        with pytest.raises(ValueError):
-            simulate(sys, hist, 2.0)
 
     def test_divergence_detected(self):
         Ad, Bd, Cd = zero_kernel(1)
@@ -711,8 +691,9 @@ class TestFundamentalMatrix:
 
 
 def _imported_modules(module):
-    """Every name in the import statements of a package module's source."""
-    tree = ast.parse(Path(module.__file__).read_text())
+    """Every name in the import statements of a package module's source,
+    the module given as an object or as the path of its file."""
+    tree = ast.parse(Path(getattr(module, "__file__", module)).read_text())
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -746,17 +727,32 @@ def test_spectrum_imports_linalg_alone():
     assert package & _imported_modules(spectrum) == {"linalg"}
 
 
+def test_package_imports_no_scipy():
+    # numpy alone carries the package; scipy serves the tests and bench/
+    import delaylyap
+
+    modules = sorted(Path(delaylyap.__file__).parent.glob("*.py"))
+    assert len(modules) > 5
+    for path in modules:
+        assert "scipy" not in _imported_modules(path), path.name
+
+
 @pytest.mark.parametrize("call, name", [
     (lambda sys, w: HistorySpec.point_mass([np.nan, 0.0]), "x0"),
-    (lambda sys, w: HistorySpec.from_samples([-1.0, 0.0], [[0.0, 1.0], [np.inf, 0.0]]),
-     "history samples"),
+    (lambda sys, w: HistorySpec.from_function(
+        lambda th: np.full(np.shape(th) + (2,), np.inf)), r"phi\(0\) contains non-finite"),
+    # finite at the seam, so refused by the run before its convolution
+    # quadrature reads the history
+    (lambda sys, w: simulate(sys, HistorySpec.from_function(
+        lambda th: np.where(np.asarray(th)[..., None] < -0.5, np.nan, [1.0, 0.0])), 2.0),
+     "phi is not finite at theta = -1"),
     (lambda sys, w: simulate(sys, HistorySpec.point_mass([1.0, 0.0]), 2.0,
                              dt=np.nan), "dt"),
     (lambda sys, w: simulate(scalar_decay(h=0.0)[0], HistorySpec.point_mass([1.0]),
                              2.0, dt=np.nan), "dt"),
     (lambda sys, w: oracle_P(sys, w, [np.nan]), "tau"),
-], ids=["history-x0", "history-samples", "simulate-dt", "simulate-dt-no-delay",
-        "oracle-tau"])
+], ids=["history-x0", "history-phi", "history-phi-before-seam", "simulate-dt",
+        "simulate-dt-no-delay", "oracle-tau"])
 def test_non_finite_inputs_are_refused(call, name):
     sys, weight = benchmark_system()
     with pytest.raises(ValueError, match=name):
