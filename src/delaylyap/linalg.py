@@ -6,18 +6,18 @@ stacks columns, so ``vec(A X B) = kron(B.T, A) vec(X)``.
 Everything here runs on numpy alone. :func:`expm` is the scaling and
 squaring method with diagonal Pade approximants of Higham (SIMAX 26, 2005),
 with the degree and scaling chosen from norms of matrix powers as in
-Al-Mohy & Higham (SIMAX 31, 2009). Given a pairing of the indices under
-which the matrix is odd, as the solver's generator is under the reversal
-of its blocks, it works at half the order instead: in the sums and
-differences of paired entries the matrix is block off-diagonal, and its
-exponential is a cosh/sinh pair of one matrix of half the order (the
-square-reduced idea of Van Loan, LAA 61, 1984), taken by Taylor series
-and double-angle steps as for the matrix cosine (Higham & Smith, Numer.
-Algorithms 34, 2003). :class:`ExpmTable` samples the action of an
-exponential on an interval by truncated Taylor series, from products with
-the matrix alone; it accepts the matrix's action ``X -> M @ X`` in place
-of the dense products with it, so a structured matrix, such as the
-solver's generator, makes every product of the table cheaper.
+Al-Mohy & Higham (SIMAX 31, 2009). :func:`odd_expm` takes the exponential
+of a matrix that is odd under a pairing of its indices, as the solver's
+generator is under the reversal of its blocks, from half its columns and
+at half the order: in the sums and differences of paired entries the
+matrix is block off-diagonal, and its exponential is a cosh/sinh pair of
+one matrix of half the order (the square-reduced idea of Van Loan, LAA
+61, 1984), taken by Taylor series and double-angle steps as for the
+matrix cosine (Higham & Smith, Numer. Algorithms 34, 2003).
+:class:`ExpmTable` samples the action of an exponential on an interval by
+truncated Taylor series, from the matrix's action ``X -> M @ X`` and its
+1-norm alone, so a structured matrix, such as the solver's generator,
+makes every product of the table cheaper.
 :func:`smallest_singular_value` is one LAPACK SVD without vectors for a
 small or rectangular matrix; a large square one has its unit rows split
 off, the remaining core inverted once, and ``1 / sigma_min^2`` taken by
@@ -60,7 +60,8 @@ _THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
           13: 5.371920351148152e0}
 
 
-def _norm1(X):
+def norm1(X):
+    """The 1-norm of a matrix, its largest absolute column sum."""
     return float(np.abs(X).sum(axis=0).max())
 
 
@@ -92,16 +93,16 @@ def _pade_expm(A):
     n = A.shape[0]
     P = np.empty((4,) + A.shape, dtype=A.dtype)  # A^2, A^4, A^6, A^8
     np.matmul(A, A, out=P[0])
-    norms = [_norm1(P[0])]
+    norms = [norm1(P[0])]
     m, s = 3, 0
     if norms[0] ** (1 / 2) > _THETA[3]:  # bounds d_4 and d_6
         np.matmul(P[0], P[0], out=P[1])
-        norms.append(_norm1(P[1]))
+        norms.append(norm1(P[1]))
         d4 = norms[1] ** (1 / 4)
         m = 5
         if max(d4, (norms[1] * norms[0]) ** (1 / 6)) > _THETA[5]:
             np.matmul(P[1], P[0], out=P[2])
-            norms.append(_norm1(P[2]))
+            norms.append(norm1(P[2]))
             d6 = norms[2] ** (1 / 6)
             eta = max(d4, d6)
             if eta <= _THETA[7]:
@@ -183,8 +184,9 @@ def _horner(coeffs, P):
     return R
 
 
-def _half_order_expm(M, scale, pi):
-    """``e^(M scale)`` for an ``M`` that is odd under the pairing ``pi``.
+def _half_order_expm(MI, scale, pi):
+    """``e^(M scale)`` for an ``M`` that is odd under the pairing ``pi``,
+    from its columns ``MI = M[:, I]``.
 
     ``I`` holds the indices ``k < pi[k]`` and ``J = pi[I]`` their partners.
     With ``p = w_I + w_J`` and ``q = w_I - w_J``, ``w' = M w`` becomes ``p'
@@ -212,15 +214,16 @@ def _half_order_expm(M, scale, pi):
     the end the result (four), the two row halves (two each) and one row
     half in the result's column order.
     """
-    I = np.flatnonzero(np.arange(M.shape[0]) < pi)
+    m = MI.shape[0]
+    I = np.flatnonzero(np.arange(m) < pi)
     J = pi[I]
-    MII = M.take(I, axis=0).take(I, axis=1)
-    MJI = M.take(J, axis=0).take(I, axis=1)
+    MII = MI.take(I, axis=0)
+    MJI = MI.take(J, axis=0)
     B = (MII + MJI) * scale
     C = (MII - MJI) * scale
     del MII, MJI
     W = B @ C
-    norm = _norm1(W)
+    norm = norm1(W)
     if not math.isfinite(norm):
         raise OverflowError("matrix exponential overflowed: "
                             "the squared argument is not finite")
@@ -228,9 +231,9 @@ def _half_order_expm(M, scale, pi):
     degree = _taylor_degree(math.sqrt(norm * 4.0 ** -steps)) // 2
     # the powers Z^0 .. Z^b that Horner's rule in Z^b reads, b ~ sqrt(degree)
     block = max(1, math.isqrt(degree))
-    m = W.shape[0]
-    P = np.empty((block + 1, m, m), dtype=W.dtype)
-    P[0] = np.eye(m)
+    h = W.shape[0]
+    P = np.empty((block + 1, h, h), dtype=W.dtype)
+    P[0] = np.eye(h)
     np.multiply(W, 4.0 ** -steps, out=P[1])
     del W
     for k in range(2, block + 1):
@@ -238,7 +241,7 @@ def _half_order_expm(M, scale, pi):
     sinhc = _horner(_SINH_SERIES[:degree + 1], P)
     d = _horner(_COSH_SERIES[:degree + 1], P)
     c = P[1] @ d
-    c.flat[::m + 1] += 1.0
+    c.flat[::h + 1] += 1.0
     del P
     for _ in range(steps):
         sinhc = sinhc @ c
@@ -246,12 +249,12 @@ def _half_order_expm(M, scale, pi):
         d *= 0.5
         c = c @ c
         c *= 2.0
-        c.flat[::m + 1] -= 1.0
+        c.flat[::h + 1] -= 1.0
     X12 = sinhc @ B
     X21 = C @ sinhc
     X22 = C @ (d @ B)
     del sinhc, d, B, C
-    X22.flat[::m + 1] += 1.0
+    X22.flat[::h + 1] += 1.0
     # back from (p, q) to (w_I, w_J) = ((p + q) / 2, (p - q) / 2): rows I
     # and J of the result, columns in the order [I, J], then scattered
     S, D = c + X22, c - X22
@@ -261,14 +264,31 @@ def _half_order_expm(M, scale, pi):
     bottom = np.concatenate([D + Q, S - O], axis=1)
     del S, D, O, Q
     order = np.argsort(np.concatenate([I, J]))
-    out = np.empty(M.shape, dtype=top.dtype)
+    out = np.empty((m, m), dtype=top.dtype)
     for rows, half in ((I, top), (J, bottom)):
         half *= 0.5
         out[rows] = half.take(order, axis=1)
     return out
 
 
-def expm(M, scale=1.0, pairing=None):
+def _checked(exp, M, scale):
+    """``exp(M, scale)`` with ``scale = 0`` giving the identity exactly,
+    an integer ``M`` taken as float and an overflow raised as
+    ``OverflowError``."""
+    m = M.shape[0]
+    if scale == 0:
+        return np.eye(m, dtype=np.result_type(M.dtype, float))
+    if M.dtype.kind not in "fc":
+        M = M.astype(float)
+    # an overflow shows as a non-finite result, checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = exp(M, scale)
+    if not np.isfinite(out).all():
+        raise OverflowError("matrix exponential overflowed to non-finite entries")
+    return out
+
+
+def expm(M, scale=1.0):
     """Matrix exponential ``e^(M * scale)``.
 
     Scaling and squaring with a diagonal Pade approximant of degree 3, 5,
@@ -283,14 +303,6 @@ def expm(M, scale=1.0, pairing=None):
     scale : float or complex, optional
         Scalar factor applied before exponentiation. ``scale=0`` returns
         the identity exactly.
-    pairing : (m,) int array, optional
-        An index map ``pi`` with ``pi[pi]`` the identity and no fixed
-        point, under which ``M`` is odd: ``M[pi][:, pi] = -M``, so its
-        spectrum comes in ``(lambda, -lambda)`` pairs. The exponential is
-        then taken at half the order, by the cosh/sinh form of
-        :func:`_half_order_expm`, which reads only the columns ``k < pi[k]``
-        of ``M`` and does not detect a violation. It agrees with the Pade
-        route to rounding, not bitwise.
 
     Returns
     -------
@@ -304,26 +316,50 @@ def expm(M, scale=1.0, pairing=None):
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("expm expects a square matrix, got shape %s" % (M.shape,))
-    if scale == 0:
-        return np.eye(M.shape[0], dtype=np.result_type(M.dtype, float))
-    if M.dtype.kind not in "fc":
-        M = M.astype(float)
-    # an overflow shows as a non-finite result, checked below
-    with np.errstate(over="ignore", invalid="ignore"):
-        if pairing is not None:
-            out = _half_order_expm(M, scale, pairing)
-        elif M.shape[0] <= 1:
-            out = np.exp(M * scale)
-        else:
-            out = _pade_expm(M * scale)
-    if not np.isfinite(out).all():
-        raise OverflowError("matrix exponential overflowed to non-finite entries")
-    return out
+    return _checked(lambda A, s: np.exp(A * s) if A.shape[0] <= 1
+                    else _pade_expm(A * s), M, scale)
+
+
+def odd_expm(MI, scale, pi):
+    """``e^(M * scale)`` for an ``(m, m)`` matrix ``M`` that is odd under
+    the pairing ``pi``, from its columns ``MI = M[:, I]``, ``I =
+    flatnonzero(arange(m) < pi)``.
+
+    ``pi`` is an index map with ``pi[pi]`` the identity and no fixed point,
+    and ``M[pi][:, pi] = -M``, so the spectrum of ``M`` comes in ``(lambda,
+    -lambda)`` pairs and its columns ``pi[I]`` are ``-MI[pi]``. The
+    exponential is taken at half the order, by the cosh/sinh form of
+    :func:`_half_order_expm`, which reads only the rows ``I`` and ``pi[I]``
+    of ``MI`` and does not detect a violation. It agrees with
+    :func:`expm` of ``M`` to rounding, not bitwise.
+
+    Parameters
+    ----------
+    MI : (m, m / 2) array_like
+    scale : float
+        ``scale=0`` returns the identity exactly.
+    pi : (m,) int array
+
+    Returns
+    -------
+    (m, m) ndarray
+
+    Raises
+    ------
+    OverflowError
+        If the result contains non-finite entries.
+    """
+    MI = np.asarray(MI)
+    if MI.ndim != 2 or 2 * MI.shape[1] != MI.shape[0]:
+        raise ValueError("odd_expm expects an (m, m / 2) matrix, got shape %s"
+                         % (MI.shape,))
+    return _checked(partial(_half_order_expm, pi=pi), MI, scale)
 
 
 class ExpmTable:
     """Samples ``t -> expm(M t) X`` on ``[0, T]`` from products with ``M``.
 
+    ``M`` enters through its action ``X -> M @ X`` alone, and its 1-norm.
     The interval is cut at ``J + 1`` nodes ``j delta``, ``delta = T / J``
     with ``J = max(1, ceil(||M||_1 T))``. Node values come from Taylor
     steps of the action, with no exponential formed: from ``W_0 = X``, one
@@ -336,10 +372,10 @@ class ExpmTable:
     <= 1/2`` and degree ``K`` (:func:`_taylor_degree`, 14) truncates below
     unit roundoff: the value is the dot product of ``s^k`` with the terms.
     This is the truncated-Taylor stepping of Al-Mohy & Higham (SISC 2011)
-    with a fixed interval and starting block. Every step and term is a
-    product ``M @ block``, so an ``action`` computing it without the dense
-    ``M`` (the solver's :class:`~delaylyap.solver.BlockAction`) replaces
-    all of them.
+    with a fixed interval and starting block. Every step and term is one
+    call of the action, so a structured ``M``, such as the solver's
+    generator through its :class:`~delaylyap.solver.BlockAction`, makes
+    every one of them cheaper than a dense product.
 
     The table holds ``(J + 1)(K + 1)`` copies of ``X``. For the stacked
     state of a random stable system with ``n = nd = 12`` on ``h = 1``
@@ -348,16 +384,15 @@ class ExpmTable:
 
     Parameters
     ----------
-    M : (m, m) array_like
+    action : callable
+        ``action(Y, out=None)`` returns ``M @ Y`` for ``Y`` of shape ``(m,
+        ...)``, written into ``out`` if given, as ``np.matmul(M, Y,
+        out=out)`` does; ``partial(np.matmul, M)`` is the dense one.
+    norm : float
+        ``||M||_1``, which spaces the nodes.
     T : float
         Length of the interval, positive and finite.
     X : (m,) or (m, p) array_like
-    action : callable, optional
-        ``action(Y, out=None)`` returns ``M @ Y`` for ``Y`` of shape ``(m,
-        ...)``, written into ``out`` if given, as ``np.matmul(M, Y,
-        out=out)`` does. Every Taylor step and term is then a call of it
-        instead of a product with the dense ``M``, which still gives the
-        node spacing through ``||M||_1``.
 
     Raises
     ------
@@ -369,20 +404,17 @@ class ExpmTable:
     SPAN = 4
     STEP_DEGREE = _taylor_degree(SPAN)
 
-    def __init__(self, M, T, X, action=None):
-        M = np.asarray(M, dtype=float)
+    def __init__(self, action, norm, T, X):
         X = np.array(X, dtype=float)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise ValueError("expects a square matrix, got shape %s" % (M.shape,))
-        if X.ndim not in (1, 2) or X.shape[0] != M.shape[0]:
-            raise ValueError("block shape %s does not match %s" % (X.shape, M.shape))
+        if X.ndim not in (1, 2):
+            raise ValueError("expects a block of 1 or 2 dimensions, got shape %s"
+                             % (X.shape,))
         T = float(T)
         if not np.isfinite(T) or T <= 0:
             raise ValueError("interval length must be positive and finite, got %r" % T)
-        J = max(1, math.ceil(np.linalg.norm(M, 1) * T))
-        times = partial(np.matmul, M) if action is None else action
+        J = max(1, math.ceil(norm * T))
         delta = T / J
-        m, K = M.shape[0], self.STEP_DEGREE
+        m, K = X.shape[0], self.STEP_DEGREE
         W = np.empty((m, J + 1, X.size // m))
         W[:, 0] = X.reshape(m, -1)
         # node j + i is sum_k i^k t_k, t_k = (M delta)^k W_j / k!; i^k is
@@ -394,7 +426,7 @@ class ExpmTable:
             for j in range(0, J, self.SPAN):
                 t[0] = W[:, j]
                 for k in range(1, K + 1):
-                    times(t[k - 1], out=t[k])
+                    action(t[k - 1], out=t[k])
                     t[k] *= delta / k
                 i = min(self.SPAN, J - j)
                 W[:, j + 1:j + i + 1] = (powers[:i] @ t.reshape(K + 1, -1)) \
@@ -402,7 +434,7 @@ class ExpmTable:
             # term k for every node at once, then laid out node by node
             terms = [W.reshape(m, -1)]
             for k in range(1, self.DEGREE + 1):
-                terms.append(times(terms[-1]) / k)
+                terms.append(action(terms[-1]) / k)
         self.terms = np.stack(terms).reshape(self.DEGREE + 1, m, J + 1, -1) \
             .transpose(2, 0, 1, 3).reshape(J + 1, self.DEGREE + 1, X.size)
         if not np.all(np.isfinite(self.terms)):

@@ -11,7 +11,7 @@ kernel through :func:`zero_kernel`.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -121,7 +121,8 @@ class TimeDelaySystem:
     @cached_property
     def kernel_table(self):
         """Table of ``expm(-Ad s)`` on ``[0, h]``, built on first use."""
-        return linalg.ExpmTable(-self.Ad, self.h, np.eye(self.internal_dim))
+        return linalg.ExpmTable(partial(np.matmul, -self.Ad), linalg.norm1(self.Ad),
+                                self.h, np.eye(self.internal_dim))
 
 
 def kernel_exp(sys, theta):

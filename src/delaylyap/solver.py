@@ -20,7 +20,7 @@ off, see :func:`delaylyap.linalg.smallest_singular_value`), one LU
 factorization solves it, and ``omega(h)`` reuses that exponential.
 Only ``rhs`` depends on the weight, so :func:`assemble` grades ``G`` when
 it forms it, and below :data:`delaylyap.linalg.KRYLOV_MIN_ORDER` keeps
-``E``, ``expm(E h)``, ``G`` and that grade per system: every weight's
+``||E||_1``, ``expm(E h)``, ``G`` and that grade per system: every weight's
 solve shares them, and only the LU solve runs per weight.
 Inside the interval a solution propagates ``omega(0)`` once, by products
 with ``E`` alone, into a :class:`~delaylyap.linalg.ExpmTable` of ``expm(E
@@ -32,18 +32,19 @@ s)``.
 
 :class:`BlockAction` is the one definition of the dynamics: it
 multiplies by ``E`` through its blocks, in ``O(ns (n + nd))`` per column
-instead of ``O(ns^2)``, and the dense ``E`` is its product with the
-identity. ``F1`` and ``F2`` are never formed: ``G`` is built from their
-structure, one row block of ``E expm(E h)`` and copied row blocks of
-``expm(E h)`` (see :func:`assemble`). Only that row block of the product,
-the rows landing in block 2, is formed, by
-:meth:`BlockAction.omega2_rows`. At every order those rows and every
-Taylor step and term of the table go through the action, and ``expm(E
-h)`` is taken at half the order: :func:`_reversal`,
+instead of ``O(ns^2)``, and ``E`` itself is never formed. :func:`_reversal`,
 the map that swaps and transposes blocks 1 and 2, 3 and 6, and 4 and 5,
-negates ``E`` exactly, so in the sums and differences of paired entries
+negates ``E`` exactly, so the action on the unit columns of blocks 1, 3
+and 4 gives every entry of ``E``, half of them negated and permuted.
+``F1`` and ``F2`` are never formed either: ``G`` is built from their
+structure, ``E``'s first block row, one row block of ``E expm(E h)`` and
+copied row blocks of ``expm(E h)`` (see :func:`assemble`). Only that row
+block of the product, the rows landing in block 2, is formed, by
+:meth:`BlockAction.omega2_rows`. Those rows and every Taylor step and term
+of the table go through the action, and ``expm(E h)`` is taken at half the
+order from those columns: in the sums and differences of paired entries
 ``E`` is block off-diagonal and its exponential is a cosh/sinh pair of
-order ``ns / 2`` (see :func:`delaylyap.linalg.expm`). The boundary
+order ``ns / 2`` (see :func:`delaylyap.linalg.odd_expm`). The boundary
 states and the kernel table keep their dense products.
 
 Evaluation takes arrays: :func:`P_at`, the kernel and the stacked state
@@ -147,7 +148,7 @@ class OmegaBlocks(NamedTuple):
 class BlockAction:
     """``X -> E @ X`` for ``X`` of shape ``(ns, ...)``, from the blocks of
     ``E`` without forming it: the one definition of the auxiliary
-    dynamics, from which :func:`assemble` also takes the dense ``E``.
+    dynamics, from which :func:`assemble` also takes ``E``'s columns.
 
     Each block of ``E`` is a Kronecker product with an identity, so with
     the blocks of a state written ``o1 .. o6``, its derivative is
@@ -232,8 +233,9 @@ class BlockAction:
 class AuxOperator:
     """Assembled constant matrices of the auxiliary boundary-value problem.
 
-    ``E`` drives the stacked state, ``expm_Eh`` is the propagator ``expm(E
-    h)`` across the interval, and ``G = F1 + F2 expm_Eh`` is the combined
+    ``E`` drives the stacked state and ``E_norm`` is its 1-norm,
+    ``expm_Eh`` is the propagator ``expm(E h)`` across the interval, and
+    ``G = F1 + F2 expm_Eh`` is the combined
     boundary matrix whose conditioning decides solvability, ``F1`` and
     ``F2`` weighting the state's values at ``tau = 0`` and ``tau = h`` in
     the boundary condition (see :func:`assemble`; neither is kept). The
@@ -246,18 +248,19 @@ class AuxOperator:
 
     :func:`assemble` returns a new operator on every call. Below
     :data:`delaylyap.linalg.KRYLOV_MIN_ORDER`, every operator of one
-    system shares the same ``E``, ``expm_Eh``, ``G`` and grade, which the
-    memo keeps for as long as the system lives. ``E``, ``expm_Eh`` and
-    ``G`` are read-only at every order.
+    system shares the same ``E_norm``, ``expm_Eh``, ``G`` and grade, which
+    the memo keeps for as long as the system lives. ``expm_Eh`` and ``G``
+    are read-only at every order.
 
-    ``action`` is the :class:`BlockAction` of ``E``: the block-2 rows of
-    ``E expm_Eh`` in ``G`` and the solution's propagation table go through it,
-    and ``expm_Eh`` was taken at half the order through the reversal of
-    the blocks. The dense ``E`` spaces the table's nodes.
+    ``action`` is the :class:`BlockAction` of ``E``, which is not formed:
+    the block-2 rows of ``E expm_Eh`` in ``G`` and the solution's
+    propagation table go through it, and ``expm_Eh`` was taken at half the
+    order from its columns through the reversal of the blocks. ``E_norm``
+    spaces the table's nodes.
     """
 
     system: object
-    E: np.ndarray
+    E_norm: float
     expm_Eh: np.ndarray
     G: np.ndarray
     sigma_min: float
@@ -267,10 +270,10 @@ class AuxOperator:
 
 
 # The assembly of each live system of order below linalg.KRYLOV_MIN_ORDER,
-# ``(E, expm_Eh, G, sigma_min, max_abs, ns, action)``, keyed by the system
-# itself, which is immutable and hashes by identity. No value refers to
-# its system, so an entry goes when its system does. A larger assembly is
-# not kept: its three dense arrays would take 24 ns^2 bytes, 18 MB at ns =
+# ``(E_norm, expm_Eh, G, sigma_min, max_abs, ns, action)``, keyed by the
+# system itself, which is immutable and hashes by identity. No value refers
+# to its system, so an entry goes when its system does. A larger assembly
+# is not kept: its two dense arrays would take 16 ns^2 bytes, 12 MB at ns =
 # 864, for as long as the system lives.
 _assembled = weakref.WeakKeyDictionary()
 
@@ -283,8 +286,8 @@ def assemble(sys):
     :data:`delaylyap.linalg.KRYLOV_MIN_ORDER` is assembled once and its
     arrays are kept for as long as the system lives; every call returns a
     new :class:`AuxOperator` over them. A larger system is assembled on
-    every call, since its arrays are large. ``E``, ``expm_Eh`` and ``G``
-    are read-only at every order, since operators may share them.
+    every call, since its arrays are large. ``expm_Eh`` and ``G`` are
+    read-only at every order, since operators may share them.
 
     Solvability is a property of the system alone, so ``G`` is graded
     here, once per assembly: :func:`delaylyap.linalg.smallest_singular_value`
@@ -294,14 +297,16 @@ def assemble(sys):
     weight's :func:`solve_boundary` shares it; the thresholds and the LU
     solve run on every call. A non-finite ``G`` raises ``ValueError``.
 
-    ``E`` is the system's :class:`BlockAction` applied to the identity,
-    and ``expm(E h)`` is :func:`delaylyap.linalg.expm` with the pairing
-    :func:`_reversal`, under which ``E`` is odd: with ``p`` and ``q`` the
-    sums and differences of the entries of blocks 1, 3 and 4 and of their
-    partners, ``p' = B q`` and ``q' = C p``, and ``expm(E h)`` follows
-    from ``c``, ``s`` and ``d``, the cosh, sinh and cosh-minus-one series
-    of ``W = h^2 B C``, each of order ``ns / 2``, by scaling and
-    double-angle steps. An overflow of that exponential raises
+    ``E`` is not formed. ``E_I = E[:, I]``, its columns ``I`` of blocks
+    1, 3 and 4, is the system's :class:`BlockAction` applied to those unit
+    columns, and ``E`` is odd under :func:`_reversal` ``pi``, so its other
+    columns are ``E[:, pi[I]] = -E_I[pi]`` and ``||E||_1 = ||E_I||_1``.
+    ``expm(E h)`` is :func:`delaylyap.linalg.odd_expm` of ``E_I``: with
+    ``p`` and ``q`` the sums and differences of the entries of blocks 1, 3
+    and 4 and of their partners, ``p' = B q`` and ``q' = C p``, and
+    ``expm(E h)`` follows from ``c``, ``s`` and ``d``, the cosh, sinh and
+    cosh-minus-one series of ``W = h^2 B C``, each of order ``ns / 2``, by
+    scaling and double-angle steps. An overflow of that exponential raises
     ``OverflowError`` naming ``h`` and ``||E h||_1``.
 
     The six rows of the boundary pair ``(F1, F2)`` encode: the algebraic
@@ -311,17 +316,18 @@ def assemble(sys):
     omega5(0) = 0`` and ``omega4(h) = omega6(h) = 0``. Every other block of
     the pair is zero or a signed identity, so ``G = F1 + F2 expm(E h)`` is
     formed from that structure: its first rows are ``E``'s first block
-    row minus the omega2 rows of ``E expm(E h)``, and the rest are
-    ``F1``'s identity blocks plus signed row blocks of ``expm(E h)``. Only
-    those ``n^2`` rows of the product are formed, by
+    row, read from ``E_I`` in the columns ``I`` and from ``-E_I[pi]`` in
+    the columns ``pi[I]``, minus the omega2 rows of ``E expm(E h)``, and
+    the rest are ``F1``'s identity blocks plus signed row blocks of
+    ``expm(E h)``. Only those ``n^2`` rows of the product are formed, by
     :meth:`BlockAction.omega2_rows`, never the whole ``E expm(E h)``.
 
     With the exponential's temporaries freed as it goes (see
-    :func:`delaylyap.linalg._half_order_expm`), the assembly's peak is
-    the Lanczos grade's inverse of the core of ``G`` on top of ``E``,
-    ``expm(E h)`` and ``G``: under four and a half ``ns x ns`` arrays in
-    all at ``n = nd = 8``, the Lanczos vectors kept only for the steps
-    taken.
+    :func:`delaylyap.linalg._half_order_expm`) and ``E_I`` freed once
+    ``G``'s first rows are read from it, the assembly's peak is the Lanczos
+    grade's inverse of the core of ``G`` on top of ``expm(E h)`` and
+    ``G``: under three and a half ``ns x ns`` arrays in all at ``n = nd =
+    8``, the Lanczos vectors kept only for the steps taken.
     """
     parts = _assembled.get(sys)
     if parts is None:
@@ -332,31 +338,38 @@ def assemble(sys):
 
 
 def _assemble_parts(sys):
-    """The fields of :func:`assemble`'s operator after ``system``: ``E``,
-    ``expm_Eh`` and ``G`` read-only, the grade of ``G``, ``ns`` and the
-    action."""
+    """The fields of :func:`assemble`'s operator after ``system``:
+    ``||E||_1``, ``expm_Eh`` and ``G`` read-only, the grade of ``G``,
+    ``ns`` and the action."""
     action = BlockAction(sys)
     off = action.off
     ns = off[-1]
-    E = action(np.eye(ns))
+    pi = _reversal(sys.n, sys.internal_dim)
+    # E's columns I (blocks 1, 3 and 4); its columns pi[I] are -EI[pi]
+    I = np.flatnonzero(np.arange(ns) < pi)
+    EI = action(np.eye(ns)[:, I])
+    E_norm = linalg.norm1(EI)
     try:
-        expm_Eh = linalg.expm(E, sys.h, _reversal(sys.n, sys.internal_dim))
+        expm_Eh = linalg.odd_expm(EI, sys.h, pi)
     except OverflowError as exc:
         raise OverflowError("expm(E h) overflowed at h = %g, ||E h||_1 = %.3g"
-                            % (sys.h, np.linalg.norm(E, 1) * sys.h)) from exc
+                            % (sys.h, E_norm * sys.h)) from exc
     G = np.zeros((ns, ns))
     # F1's first rows are E's omega1 rows, F2's minus its omega2 rows
-    np.subtract(E[:off[1]], action.omega2_rows(expm_Eh), out=G[:off[1]])
+    G[:off[1], I] = EI[:off[1]]
+    G[:off[1], pi[I]] = -EI[pi[:off[1]]]
+    del EI
+    G[:off[1]] -= action.omega2_rows(expm_Eh)
     # F1's identity blocks, taking column block j of omega(0) to row block i
     for i, j in ((1, 0), (2, 2), (3, 4)):
         np.fill_diagonal(G[off[i]:off[i + 1], off[j]:off[j + 1]], 1.0)
     # F2's signed identity blocks times expm_Eh: row blocks of expm_Eh
     for i, j, sign in ((1, 1, -1.0), (4, 3, 1.0), (5, 5, 1.0)):
         G[off[i]:off[i + 1]] += sign * expm_Eh[off[j]:off[j + 1]]
-    for M in (E, expm_Eh, G):
+    for M in (expm_Eh, G):
         M.flags.writeable = False
-    return (E, expm_Eh, G, linalg.smallest_singular_value(G), linalg.maxabs(G),
-            ns, action)
+    return (E_norm, expm_Eh, G, linalg.smallest_singular_value(G),
+            linalg.maxabs(G), ns, action)
 
 
 @dataclass(frozen=True, eq=False)
@@ -389,8 +402,8 @@ class LyapunovSolution:
 
     @cached_property
     def omega_table(self):
-        return linalg.ExpmTable(self.op.E, self.system.h, self.omega0.stacked,
-                                self.op.action)
+        return linalg.ExpmTable(self.op.action, self.op.E_norm, self.system.h,
+                                self.omega0.stacked)
 
 
 def solve_boundary(op, weight,

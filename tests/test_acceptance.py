@@ -207,7 +207,7 @@ def test_criterion_7_assembly_oracle():
         om0 = OmegaBlocks(*blocks0)
         omh = OmegaBlocks(*blocksh)
         diff_e = np.max(np.abs(
-            op.E @ om0.stacked
+            op.action(om0.stacked)
             - OmegaBlocks(*stacked_derivative_oracle(sys, blocks0)).stacked
         ))
         diff_b = np.max(np.abs(

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -118,8 +119,8 @@ class TestExpm:
         out = {}
         for name, sys in [("benchmark", benchmark_system()[0])] + [
                 ("n%d" % n, random_stable_system(0, n, n)) for n in (2, 6, 12)]:
-            E = solver.assemble(sys).E
-            J = max(1, math.ceil(np.linalg.norm(E, 1) * sys.h))
+            E = dense_E(sys)
+            J = max(1, math.ceil(linalg.norm1(E) * sys.h))
             out[name] = {"E h": E * sys.h, "E delta": E * (sys.h / J),
                          "-Ad": -sys.Ad}
         return out
@@ -151,13 +152,29 @@ class TestExpm:
         assert _relerr(linalg.expm(M, 0.5), want) <= 1e-14
 
 
+def dense_E(sys):
+    """The solver's ``E``: its block action on the identity."""
+    return solver.BlockAction(sys)(np.eye(solver._layout(sys.n, sys.internal_dim)[1][-1]))
+
+
+def odd_expm(M, scale, pi):
+    """:func:`linalg.odd_expm` of the whole ``M``, read at its columns
+    ``k < pi[k]``."""
+    return linalg.odd_expm(M[:, np.arange(len(pi)) < pi], scale, pi)
+
+
+def dense_table(M, T, X):
+    """The :class:`linalg.ExpmTable` of the dense products with ``M``."""
+    return linalg.ExpmTable(partial(np.matmul, M), linalg.norm1(M), T, X)
+
+
 class TestHalfOrderExpm:
-    # expm with a pairing under which the matrix is odd, M[pi][:, pi] = -M
+    # odd_expm of a matrix that is odd under a pairing, M[pi][:, pi] = -M
 
     @staticmethod
     def generator(sys):
         """The solver's ``E`` and the reversal under which it is odd."""
-        return solver.assemble(sys).E, solver._reversal(sys.n, sys.internal_dim)
+        return dense_E(sys), solver._reversal(sys.n, sys.internal_dim)
 
     @staticmethod
     def odd(m, norm, rng):
@@ -176,7 +193,7 @@ class TestHalfOrderExpm:
         # of degree 14 after one and three; the pairs are interleaved
         M, pi = self.odd(40, norm, np.random.default_rng(71))
         assert np.array_equal(M[np.ix_(pi, pi)], -M)
-        assert _relerr(linalg.expm(M, 1.0, pi), scipy.linalg.expm(M)) <= 1e-13
+        assert _relerr(odd_expm(M, 1.0, pi), scipy.linalg.expm(M)) <= 1e-13
 
     # ns = 6 (half order 3) is the smallest order the solver sends here
     @pytest.mark.parametrize("sys", [benchmark_system()[0],
@@ -189,26 +206,28 @@ class TestHalfOrderExpm:
         with mpmath.workdps(50):
             ref = mpmath.expm(mpmath.matrix(E) * sys.h)
             want = np.array(ref.tolist(), dtype=float)
-        assert _relerr(linalg.expm(E, sys.h, pi), want) <= 1e-14
+        assert _relerr(odd_expm(E, sys.h, pi), want) <= 1e-14
 
     def test_matches_pade(self):
         # n = nd = 10, ns = 600: three double-angle steps
         sys = random_stable_system(0, 10, 10)
         E, pi = self.generator(sys)
-        assert _relerr(linalg.expm(E, sys.h, pi), linalg.expm(E, sys.h)) <= 1e-13
+        assert _relerr(odd_expm(E, sys.h, pi), linalg.expm(E, sys.h)) <= 1e-13
 
     def test_peak_memory(self, traced_peak):
-        # n = nd = 8, ns = 384: at most ten arrays of order ns / 2, 2.5 of
-        # order ns, are live at once, the result counted
+        # n = nd = 8, ns = 384: from the ns x ns / 2 columns, at most ten
+        # arrays of order ns / 2, 2.5 ns x ns arrays, are live at once, the
+        # result counted
         sys = random_stable_system(0, 8, 8)
         E, pi = self.generator(sys)
-        X, peak = traced_peak(linalg.expm, E, sys.h, pi)
-        assert np.array_equal(X, linalg.expm(E, sys.h, pi))
-        assert peak <= 3 * E.nbytes
+        EI = E[:, np.arange(len(pi)) < pi].copy()
+        X, peak = traced_peak(linalg.odd_expm, EI, sys.h, pi)
+        assert np.array_equal(X, odd_expm(E, sys.h, pi))
+        assert peak <= 3 * X.nbytes
 
     def test_zero_scale_is_identity(self):
         E, pi = self.generator(benchmark_system()[0])
-        assert np.array_equal(linalg.expm(E, 0.0, pi), np.eye(E.shape[0]))
+        assert np.array_equal(odd_expm(E, 0.0, pi), np.eye(E.shape[0]))
 
     def test_overflow(self):
         # raised without a RuntimeWarning: by the double-angle steps, and
@@ -216,7 +235,7 @@ class TestHalfOrderExpm:
         M, pi = self.generator(random_stable_system(0, 3, 2))
         for scale in (1e3, 1e200):
             with pytest.raises(OverflowError):
-                linalg.expm(M, scale, pi)
+                odd_expm(M, scale, pi)
 
 
 def _relerr(got, want):
@@ -254,7 +273,7 @@ class TestExpmTable:
             M, rng = self.dense(int(case[5:]), 31)
         m = M.shape[0]
         X = rng.standard_normal(m if cols is None else (m, cols))
-        table = linalg.ExpmTable(M, T, X)
+        table = dense_table(M, T, X)
         assert table.nodes == J + 1
         # the endpoint, off-node points, the nodes themselves and the
         # midpoints between them
@@ -273,19 +292,19 @@ class TestExpmTable:
     def test_start_is_exact(self, cols):
         M, rng = self.dense(24, 37)
         X = rng.standard_normal(24 if cols is None else (24, cols))
-        assert np.array_equal(linalg.ExpmTable(M, 1.0, X)(0.0), X)
+        assert np.array_equal(dense_table(M, 1.0, X)(0.0), X)
         M, _ = self.non_normal()
         X = rng.standard_normal(M.shape[0] if cols is None else (M.shape[0], cols))
-        assert np.array_equal(linalg.ExpmTable(M, 0.5, X)(0.0), X)
+        assert np.array_equal(dense_table(M, 0.5, X)(0.0), X)
 
     def test_node_spacing_and_degree(self):
         M, rng = self.dense(24, 43)
         T = 2.0
-        table = linalg.ExpmTable(M, T, np.ones(24))
+        table = dense_table(M, T, np.ones(24))
         J = table.nodes - 1
         assert J == max(1, int(np.ceil(np.linalg.norm(M, 1) * T)))
         assert table.delta * J == pytest.approx(T, rel=1e-15)
-        assert linalg.ExpmTable(np.zeros((2, 2)), 3.0, np.ones(2)).nodes == 2
+        assert dense_table(np.zeros((2, 2)), 3.0, np.ones(2)).nodes == 2
         K = linalg.ExpmTable.DEGREE
         assert K == 14
 
@@ -315,32 +334,32 @@ class TestExpmTable:
         else:
             M, rng = self.dense(24, 47) if case == "dense24" else self.non_normal()
             X = rng.standard_normal(M.shape[0])
-            table = linalg.ExpmTable(M, 0.5, X)
+            table = dense_table(M, 0.5, X)
         assert calls == []
         t = 0.37 * table.T
         assert _relerr(table(t), expm(M, t) @ X) <= 1e-13
 
     @pytest.mark.parametrize("cols", [None, 3])
     def test_action_replaces_every_product(self, cols):
-        # with the dense product as its action, the table is bitwise the
-        # dense one, and every Taylor step and term is one call of it
+        # every Taylor step and term is one call of the action, and the
+        # dense product counted as it goes gives the dense table bitwise
         M, rng = self.dense(24, 59)
         X = rng.standard_normal(24 if cols is None else (24, cols))
-        want = linalg.ExpmTable(M, 1.3, X)
+        want = dense_table(M, 1.3, X)
         calls = []
 
         def action(Y, out=None):
             calls.append(Y.shape)
             return np.matmul(M, Y, out=out)
 
-        got = linalg.ExpmTable(M, 1.3, X, action)
+        got = linalg.ExpmTable(action, linalg.norm1(M), 1.3, X)
         series = -(-(want.nodes - 1) // linalg.ExpmTable.SPAN)
         assert len(calls) == series * linalg.ExpmTable.STEP_DEGREE \
             + linalg.ExpmTable.DEGREE
         assert np.array_equal(got.terms, want.terms)
 
     def test_domain(self):
-        table = linalg.ExpmTable(np.eye(2), 1.0, np.ones(2))
+        table = dense_table(np.eye(2), 1.0, np.ones(2))
         table(1.0 + 1e-12)
         for t in (-0.01, 1.01, np.nan, [0.5, 1.01]):
             with pytest.raises(ValueError):
@@ -352,17 +371,19 @@ class TestExpmTable:
             table(ts)
         for T in (0.0, -1.0, np.inf):
             with pytest.raises(ValueError):
-                linalg.ExpmTable(np.eye(2), T, np.ones(2))
+                dense_table(np.eye(2), T, np.ones(2))
         with pytest.raises(ValueError):
-            linalg.ExpmTable(np.ones((2, 3)), 1.0, np.ones(2))
+            dense_table(np.ones((2, 3)), 1.0, np.ones(2))
         with pytest.raises(ValueError):
-            linalg.ExpmTable(np.eye(2), 1.0, np.ones(3))
+            dense_table(np.eye(2), 1.0, np.ones(3))
+        with pytest.raises(ValueError):
+            dense_table(np.eye(2), 1.0, np.ones((2, 2, 2)))
 
     def test_overflow(self):
         # RuntimeWarning is an error here, so a leaked overflow warning
         # would replace the OverflowError
         with pytest.raises(OverflowError):
-            linalg.ExpmTable(np.array([[800.0]]), 1.0, np.ones(1))
+            dense_table(np.array([[800.0]]), 1.0, np.ones(1))
 
 
 class TestSmallestSingularValue:

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -111,7 +112,8 @@ def kron_assembly(sys):
 def evaluate_omega(sol, tau):
     """The stacked state at ``tau`` from one direct exponential, as
     defined, split into its blocks."""
-    stacked = linalg.expm(sol.op.E, tau) @ sol.omega0.stacked
+    E = kron_assembly(sol.system)[0]
+    stacked = linalg.expm(E, tau) @ sol.omega0.stacked
     return OmegaBlocks.from_stacked(stacked, sol.system.n, sol.system.internal_dim)
 
 
@@ -184,7 +186,8 @@ class TestAssembly:
                       [(n, n), (n, n), (n, nd), (n, nd), (nd, n), (nd, n)]]
             om = OmegaBlocks(*blocks)
             want = OmegaBlocks(*stacked_derivative_oracle(sys, blocks)).stacked
-            for got in (op.E @ om.stacked, BlockAction(sys)(om.stacked)):
+            E = kron_assembly(sys)[0]
+            for got in (E @ om.stacked, op.action(om.stacked)):
                 assert np.max(np.abs(got - want)) < 1e-13
 
     @pytest.mark.parametrize("h", [0.0, 0.7])
@@ -192,18 +195,21 @@ class TestAssembly:
         for sys in grid_systems(h):
             op = assemble(sys)
             got = BlockAction(sys)(np.eye(op.ns))
-            assert np.array_equal(got, op.E)
             assert np.array_equal(got, kron_assembly(sys)[0])
+            # the norm of E's columns k < pi[k]; the others are those
+            # permuted and negated, so the same up to the summation order
+            assert op.E_norm == pytest.approx(linalg.norm1(got), rel=1e-15)
 
     @pytest.mark.parametrize("n,nd", [(2, 3), (5, 5), (12, 12)])
     def test_block_action_matches_dense_product(self, n, nd):
         sys = random_stable_system(0, n, nd)
         op = assemble(sys)
         act = BlockAction(sys)
+        E = kron_assembly(sys)[0]
         rng = np.random.default_rng(67)
         for shape in ((op.ns,), (op.ns, 20), (op.ns, op.ns), (op.ns, 4, 5)):
             X = rng.standard_normal(shape)
-            want = np.tensordot(op.E, X, 1)
+            want = np.tensordot(E, X, 1)
             got = act(X)
             assert got.shape == X.shape
             assert _relerr(got, want) <= 1e-15
@@ -231,14 +237,14 @@ class TestAssembly:
         op = assemble(sys)
         E, F1, F2 = kron_assembly(sys)
         assert op.ns == 24
-        assert op.E.shape == op.expm_Eh.shape == op.G.shape == (24, 24)
+        assert op.expm_Eh.shape == op.G.shape == (24, 24)
         assert E.shape == F1.shape == F2.shape == (24, 24)
 
     def test_combined_matrix_definition(self):
         sys, _ = benchmark_system()
         op = assemble(sys)
-        _, F1, F2 = kron_assembly(sys)
-        expected = F1 + F2 @ scipy.linalg.expm(op.E * sys.h)
+        E, F1, F2 = kron_assembly(sys)
+        expected = F1 + F2 @ scipy.linalg.expm(E * sys.h)
         assert_allclose(op.G, expected, atol=1e-13)
 
     # ns from 6 to 216, each through the block action and the half-order
@@ -255,9 +261,10 @@ class TestAssembly:
             op = assemble(sys)
             assert isinstance(op.action, BlockAction)
             E, F1, F2 = kron_assembly(sys)
-            assert np.array_equal(op.E, E)
             pi = _reversal(sys.n, sys.internal_dim)
-            assert np.array_equal(op.expm_Eh, linalg.expm(E, sys.h, pi))
+            EI = E[:, np.arange(op.ns) < pi]
+            assert op.E_norm == pytest.approx(linalg.norm1(E), rel=1e-15)
+            assert np.array_equal(op.expm_Eh, linalg.odd_expm(EI, sys.h, pi))
             # below the algebraic rows, G is F1 plus signed row blocks of
             # expm(E h): no product rounds there
             G = F1 + F2 @ op.expm_Eh
@@ -288,12 +295,13 @@ class TestAssembly:
                 assert np.array_equal(got, act(X)[rows])
 
     def test_peak_memory(self, traced_peak):
-        # n = nd = 8, ns = 384: E, expm(E h) and G, plus the grade's core
+        # n = nd = 8, ns = 384: expm(E h) and G, plus the grade's core
         # inverse at the peak, and Lanczos vectors only for the steps taken;
+        # E is formed only as its columns I and freed before the grade, and
         # no full product E expm(E h) is formed
         sys = random_stable_system(0, 8, 8)
         op, peak = traced_peak(assemble, sys)
-        assert peak <= 4.5 * op.G.nbytes
+        assert peak <= 3.5 * op.G.nbytes
 
     def test_overflow_names_the_exponential(self):
         sys = random_stable_system(5, 2, 2, h=6.0)
@@ -342,7 +350,7 @@ class TestAssemblyMemo:
         kept = op.ns < linalg.KRYLOV_MIN_ORDER
         again = assemble(sys)
         assert again is not op and again.system is sys
-        for name in ("E", "expm_Eh", "G"):
+        for name in ("expm_Eh", "G"):
             M = getattr(op, name)
             assert (getattr(again, name) is M) == kept
             assert not M.flags.writeable
@@ -408,7 +416,7 @@ def large_order(request):
         sys = random_stable_system(0, *request.param)
     op = assemble(sys)
     sol = solve_boundary(op, Weight(np.eye(sys.n)))
-    return sys, op, sol, linalg.expm(op.E, sys.h)
+    return sys, op, sol, linalg.expm(kron_assembly(sys)[0], sys.h)
 
 
 class TestLargeOrderRoute:
@@ -428,7 +436,9 @@ class TestLargeOrderRoute:
 
     def test_table(self, large_order):
         sys, op, sol, _ = large_order
-        dense = linalg.ExpmTable(op.E, sys.h, sol.omega0.stacked)
+        E = kron_assembly(sys)[0]
+        dense = linalg.ExpmTable(partial(np.matmul, E), op.E_norm, sys.h,
+                                 sol.omega0.stacked)
         taus = np.linspace(0.0, sys.h, 37)
         assert _relerr(sol.omega_table(taus), dense(taus)) <= 1e-13
 
@@ -442,9 +452,9 @@ class TestLargeOrderRoute:
     def test_lyapunov_matrix(self, large_order):
         # against a solution whose every product with E is dense
         sys, op, sol, expm_Eh = large_order
-        _, F1, F2 = kron_assembly(sys)
-        dense_op = dataclasses.replace(op, expm_Eh=expm_Eh,
-                                       G=F1 + F2 @ expm_Eh, action=None)
+        E, F1, F2 = kron_assembly(sys)
+        dense_op = dataclasses.replace(op, expm_Eh=expm_Eh, G=F1 + F2 @ expm_Eh,
+                                       action=partial(np.matmul, E))
         dense_sol = solve_boundary(dense_op, sol.weight)
         lags = np.array([0.0, 0.25, 0.5, 0.75, 1.0]) * sys.h
         want = P_at(dense_sol, lags)
