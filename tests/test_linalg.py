@@ -60,6 +60,29 @@ class TestKron:
             assert np.max(np.abs(lhs - rhs)) < 1e-13
 
 
+def expm_classes():
+    """Matrices of each class the general exponential is checked on:
+    random ones of order 1 to 24 and 1-norm 0.01 to 30, non-normal ones
+    with couplings 1 to 1000, stiff ones and a rotation."""
+    rng = np.random.default_rng(2024)
+    cases = {}
+    for m in (1, 2, 5, 12, 24):
+        for norm in (0.01, 0.5, 3.0, 30.0):
+            M = rng.standard_normal((m, m))
+            cases["random%d_%g" % (m, norm)] = M * (norm / linalg.norm1(M))
+    for m in (4, 12):
+        for coupling in (1.0, 10.0, 100.0, 1000.0):
+            M = np.triu(rng.uniform(0.5, 1.0, (m, m)) * (coupling / m), 1)
+            cases["non_normal%d_%g" % (m, coupling)] = M - np.diag(rng.uniform(0.5, 2.0, m))
+    for c in (5.0, 50.0):
+        cases["stiff_%g" % c] = -c * np.eye(8) + 0.1 * rng.standard_normal((8, 8))
+    cases["rotation"] = 7.0 * np.array([[0.0, -1.0], [1.0, 0.0]])
+    return cases
+
+
+EXPM_CLASSES = expm_classes()
+
+
 class TestExpm:
     def test_zero_matrix_is_identity(self):
         out = linalg.expm(np.zeros((3, 3)))
@@ -127,10 +150,11 @@ class TestExpm:
 
     @staticmethod
     def cycle(m, r):
-        # every power of a cyclic permutation has 1-norm 1, so
-        # ||(r C)^k||_1^(1/k) = r picks the Pade degree: r below theta_3,
-        # theta_5, theta_7 and theta_9 gives degree 3, 5, 7 and 9, and
-        # r = 3 degree 13
+        # a cyclic permutation has 1-norm 1, so r C has 1-norm r, which
+        # picks the series degree and the number of squarings: r = 0.01,
+        # 0.2, 0.9 and 2 are summed to degree 6, 11, 17 and 24 with no
+        # squaring, and r = 3 is halved, summed to degree 21 and squared
+        # once (scipy's own error exceeds 1e-13 from r = 7 on)
         return r * np.roll(np.eye(m), 1, axis=1)
 
     def test_matches_scipy(self):
@@ -141,6 +165,14 @@ class TestExpm:
         cases += [self.cycle(7, r) for r in (0.01, 0.2, 0.9, 2.0, 3.0)]
         for M in cases:
             assert _relerr(linalg.expm(M), scipy.linalg.expm(M)) <= 1e-13
+
+    @pytest.mark.parametrize("name", list(EXPM_CLASSES))
+    def test_matches_40_digits(self, name):
+        mpmath = pytest.importorskip("mpmath")
+        M = EXPM_CLASSES[name]
+        with mpmath.workdps(40):
+            want = np.array(mpmath.expm(mpmath.matrix(M)).tolist(), dtype=float)
+        assert linalg.norm1(linalg.expm(M) - want) <= 1e-13 * linalg.norm1(want)
 
     def test_matches_high_precision(self):
         mpmath = pytest.importorskip("mpmath")
@@ -208,7 +240,7 @@ class TestHalfOrderExpm:
             want = np.array(ref.tolist(), dtype=float)
         assert _relerr(odd_expm(E, sys.h, pi), want) <= 1e-14
 
-    def test_matches_pade(self):
+    def test_matches_general_route(self):
         # n = nd = 10, ns = 600: three double-angle steps
         sys = random_stable_system(0, 10, 10)
         E, pi = self.generator(sys)
