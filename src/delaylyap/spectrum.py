@@ -59,32 +59,22 @@ def check(op, hard=HARD_THRESHOLD, borderline=BORDERLINE_THRESHOLD):
     """Grade the solvability of an assembled operator.
 
     An operator carries the grade of its boundary matrix, ``sigma_min``
-    and ``max_abs``, taken when it was assembled, and no decomposition is
-    taken here; a bare matrix is decomposed on every call. The thresholds
+    and ``max_abs``, taken when it was assembled (a non-finite matrix was
+    refused there), and no decomposition is taken here. The thresholds
     are applied on every call, so no verdict is kept.
 
     Parameters
     ----------
-    op : AuxOperator or (m, m) array_like
-        Assembled operator, or the combined boundary matrix directly.
+    op : AuxOperator
+        Assembled operator, see :func:`delaylyap.solver.assemble`.
     hard, borderline : float, optional
         Verdict thresholds on ``sigma_min / max_abs``.
 
     Returns
     -------
     SpectrumReport
-
-    Raises
-    ------
-    ValueError
-        If a bare matrix has a non-finite entry; for an operator,
-        :func:`delaylyap.solver.assemble` raised it instead.
     """
-    if hasattr(op, "sigma_min"):
-        sigma, scale = op.sigma_min, op.max_abs
-    else:
-        G = np.asarray(op, dtype=float)
-        sigma, scale = linalg.smallest_singular_value(G), linalg.maxabs(G)
+    sigma, scale = op.sigma_min, op.max_abs
     relative = sigma / scale if scale > 0 else 0.0
     if relative < hard:
         verdict = VIOLATED

@@ -142,11 +142,11 @@ def wave(theta):
 
 def recurrence_case(case):
     """System, history and horizon of one reference-recurrence case; the
-    ``"samples"`` case runs the smooth history :func:`wave`."""
+    ``"function"`` case runs the smooth history :func:`wave`."""
     sys, _ = benchmark_system()
     if case == "point_mass":
         return sys, HistorySpec.point_mass([1.0, -0.5]), 6.0
-    if case == "samples":
+    if case == "function":
         return sys, HistorySpec.from_function(wave), 6.0
     if case == "fundamental":
         return sys, HistorySpec.point_mass(np.eye(2)), 6.0
@@ -178,7 +178,7 @@ class TestHistorySpec:
         with pytest.raises(ValueError, match="nonempty vector or matrix"):
             HistorySpec.point_mass(x0)
 
-    def test_samples_interpolation(self):
+    def test_function_history_reads_phi(self):
         # a function history reads phi, and its state at zero is phi(0)
         hist = HistorySpec.from_function(lambda th: np.cos(2.0 * th)[..., None])
         assert hist.columns == 1
@@ -265,7 +265,7 @@ class TestSimulate:
         # y(t) must equal the kernel-weighted moving average of x, so a run
         # of the augmented system solves the original delay equation; the
         # point-mass, function and identity-block starts each run once
-        for case in ("point_mass", "samples", "fundamental"):
+        for case in ("point_mass", "function", "fundamental"):
             sys, hist, _ = recurrence_case(case)
             traj = simulate(sys, hist, 4.0)
             for t in (1.5, 2.5, 3.7):
@@ -276,7 +276,7 @@ class TestSimulate:
                 expected = integrate(f, -1.0, 0.0, tol=1e-7)
                 assert_allclose(traj.y_at(t), expected, atol=1e-6)
 
-    def test_sampled_history_run(self):
+    def test_function_history_run(self):
         sys, _ = benchmark_system()
         hist = HistorySpec.from_function(wave)
         ref = solve_ivp_reference(sys, hist, 2.0)
@@ -285,7 +285,7 @@ class TestSimulate:
         k = int(round(2.0 / traj.dt))
         assert np.max(np.abs(traj.xs[k] - ref[2][:2])) < 1e-7
 
-    @pytest.mark.parametrize("case", ["point_mass", "samples", "fundamental", "h0"])
+    @pytest.mark.parametrize("case", ["point_mass", "function", "fundamental", "h0"])
     def test_matches_reference_recurrence(self, case):
         # the precomputed step matrix reorders the loop's arithmetic only
         sys, hist, T = recurrence_case(case)
@@ -311,7 +311,7 @@ class TestSimulate:
             assert getattr(long, field)[:K].tobytes() \
                 == getattr(short, field).tobytes()
 
-    @pytest.mark.parametrize("case", ["point_mass", "samples", "fundamental",
+    @pytest.mark.parametrize("case", ["point_mass", "function", "fundamental",
                                       "h0", "h0_default_step"])
     def test_continued_run_is_bitwise_a_fresh_run(self, case):
         # the oracles continue one run across their horizons: from inside
