@@ -173,8 +173,7 @@ def _half_order_expm(MI, scale, pi):
     the end the result (four), the two row halves (two each) and one row
     half in the result's column order.
     """
-    m = MI.shape[0]
-    I = np.flatnonzero(np.arange(m) < pi)
+    I = np.flatnonzero(np.arange(MI.shape[0]) < pi)
     J = pi[I]
     MII = MI.take(I, axis=0)
     MJI = MI.take(J, axis=0)
@@ -190,11 +189,11 @@ def _half_order_expm(MI, scale, pi):
     degree = _taylor_degree(math.sqrt(norm * 4.0 ** -steps)) // 2
     P = _powers(W, 4.0 ** -steps, degree)
     del W
-    h = P.shape[1]
+    m = P.shape[1]
     sinhc = _horner(_SINH_SERIES[:degree + 1], P)
     d = _horner(_COSH_SERIES[:degree + 1], P)
     c = P[1] @ d
-    c.flat[::h + 1] += 1.0
+    c.flat[::m + 1] += 1.0
     del P
     for _ in range(steps):
         sinhc = sinhc @ c
@@ -202,12 +201,12 @@ def _half_order_expm(MI, scale, pi):
         d *= 0.5
         c = c @ c
         c *= 2.0
-        c.flat[::h + 1] -= 1.0
+        c.flat[::m + 1] -= 1.0
     X12 = sinhc @ B
     X21 = C @ sinhc
     X22 = C @ (d @ B)
     del sinhc, d, B, C
-    X22.flat[::h + 1] += 1.0
+    X22.flat[::m + 1] += 1.0
     # back from (p, q) to (w_I, w_J) = ((p + q) / 2, (p - q) / 2): rows I
     # and J of the result, columns in the order [I, J], then scattered
     S, D = c + X22, c - X22
@@ -217,7 +216,7 @@ def _half_order_expm(MI, scale, pi):
     bottom = np.concatenate([D + Q, S - O], axis=1)
     del S, D, O, Q
     order = np.argsort(np.concatenate([I, J]))
-    out = np.empty((m, m), dtype=top.dtype)
+    out = np.empty((MI.shape[0],) * 2, dtype=top.dtype)
     for rows, half in ((I, top), (J, bottom)):
         half *= 0.5
         out[rows] = half.take(order, axis=1)
@@ -280,9 +279,8 @@ def odd_expm(MI, scale, pi):
     and ``M[pi][:, pi] = -M``, so the spectrum of ``M`` comes in ``(lambda,
     -lambda)`` pairs and its columns ``pi[I]`` are ``-MI[pi]``. The
     exponential is taken at half the order, by the cosh/sinh form of
-    :func:`_half_order_expm`, which reads only the rows ``I`` and ``pi[I]``
-    of ``MI`` and does not detect a violation. It agrees with
-    :func:`expm` of ``M`` to rounding, not bitwise.
+    :func:`_half_order_expm`, which does not detect a violation. It
+    agrees with :func:`expm` of ``M`` to rounding, not bitwise.
 
     Parameters
     ----------

@@ -235,11 +235,11 @@ class AuxOperator:
 
     ``E`` drives the stacked state and ``E_norm`` is its 1-norm,
     ``expm_Eh`` is the propagator ``expm(E h)`` across the interval, and
-    ``G = F1 + F2 expm_Eh`` is the combined
-    boundary matrix whose conditioning decides solvability, ``F1`` and
-    ``F2`` weighting the state's values at ``tau = 0`` and ``tau = h`` in
-    the boundary condition (see :func:`assemble`; neither is kept). The
-    dimensions ``n`` and ``nd`` are those of ``system``.
+    ``G = F1 + F2 expm_Eh`` is the combined boundary matrix whose
+    conditioning decides solvability, ``F1`` and ``F2`` weighting the
+    state's values at ``tau = 0`` and ``tau = h`` in the boundary
+    condition (see :func:`assemble`; neither is kept). The dimensions
+    ``n`` and ``nd`` are those of ``system``.
 
     ``sigma_min`` and ``max_abs`` are the grade of ``G``, its smallest
     singular value and its largest entry magnitude, taken once when ``G``
@@ -347,7 +347,10 @@ def _assemble_parts(sys):
     pi = _reversal(sys.n, sys.internal_dim)
     # E's columns I (blocks 1, 3 and 4); its columns pi[I] are -EI[pi]
     I = np.flatnonzero(np.arange(ns) < pi)
-    EI = action(np.eye(ns)[:, I])
+    units = np.zeros((ns, I.size))
+    units[I, np.arange(I.size)] = 1.0
+    EI = action(units)
+    del units
     E_norm = linalg.norm1(EI)
     try:
         expm_Eh = linalg.odd_expm(EI, sys.h, pi)
