@@ -46,10 +46,10 @@ def norm1(X):
 
 def _weighted(coeffs, powers):
     """``sum coeffs[j] powers[j]`` over the first ``len(coeffs)`` of the
-    stacked ``powers``, in one pass (a matrix-vector product)."""
-    k = len(coeffs)
-    c = np.asarray(coeffs, dtype=powers.dtype)
-    return (c @ powers[:k].reshape(k, -1)).reshape(powers.shape[1:])
+    stacked ``powers``, for a 1-d array ``coeffs``, in one pass (a
+    matrix-vector product)."""
+    k = coeffs.size
+    return (coeffs @ powers[:k].reshape(k, -1)).reshape(powers.shape[1:])
 
 
 def _taylor_degree(norm=0.5):
@@ -75,8 +75,10 @@ def _taylor_degree(norm=0.5):
 _HALF_THETA = 16.0
 _HALF_DEGREE = _taylor_degree(math.sqrt(_HALF_THETA)) // 2  # 16
 # sinh(x) / x = sum z^k / (2k + 1)! and (cosh(x) - 1) / z = sum z^k / (2k + 2)!
-_SINH_SERIES = [1 / math.factorial(2 * k + 1) for k in range(_HALF_DEGREE + 1)]
-_COSH_SERIES = [1 / math.factorial(2 * k + 2) for k in range(_HALF_DEGREE + 1)]
+_SINH_SERIES = np.array([1 / math.factorial(2 * k + 1)
+                         for k in range(_HALF_DEGREE + 1)])
+_COSH_SERIES = np.array([1 / math.factorial(2 * k + 2)
+                         for k in range(_HALF_DEGREE + 1)])
 
 
 def _powers(W, factor, degree):
@@ -98,7 +100,7 @@ def _horner(coeffs, P):
     Z^b]``: Horner's rule in ``Z^b``, one product per ``b`` coefficients
     (Paterson & Stockmeyer, SIAM J. Comput. 2, 1973)."""
     b = len(P) - 1
-    t = (len(coeffs) - 2) // b
+    t = (coeffs.size - 2) // b
     R = _weighted(coeffs[t * b:], P)
     for j in range(t - 1, -1, -1):
         R = R @ P[b]
@@ -114,7 +116,8 @@ def _horner(coeffs, P):
 # 2.1e-14 at this bound, against 5.3e-14 at 1, 2.9e-13 at 4 and 2.7e-14
 # for Pade scaling and squaring of degree up to 13.
 _TAYLOR_THETA = 2.0
-_EXP_SERIES = [1 / math.factorial(k) for k in range(_taylor_degree(_TAYLOR_THETA) + 1)]
+_EXP_SERIES = np.array([1 / math.factorial(k)
+                        for k in range(_taylor_degree(_TAYLOR_THETA) + 1)])
 
 
 def _taylor_expm(A, scale):

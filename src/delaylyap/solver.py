@@ -21,14 +21,19 @@ factorization solves it, and ``omega(h)`` reuses that exponential.
 Only ``rhs`` depends on the weight, so :func:`assemble` grades ``G`` when
 it forms it, and below :data:`delaylyap.linalg.KRYLOV_MIN_ORDER` keeps
 ``||E||_1``, ``expm(E h)``, ``G`` and that grade per system: every weight's
-solve shares them, and only the LU solve runs per weight.
+solve shares them, and per weight only the LU solve runs, with one
+product by ``expm(E h)``.
+A solution keeps both boundary states as one stacked ``(2, ns)`` array,
+``[omega(0), omega(h)]``, and the pair ``P(0)``, ``P(h)`` read from them,
+the cost of a point mass being ``x0' P(0) x0``; :func:`P_at` serves a lag
+of exactly ``0`` or ``+-h`` from that pair, with no table.
 Inside the interval a solution propagates ``omega(0)`` once, by products
 with ``E`` alone, into a :class:`~delaylyap.linalg.ExpmTable` of ``expm(E
 tau) omega(0)`` on ``[0, h]``, so ``expm(E h)`` is its only dense
-exponential. Every value of the Lyapunov matrix that :func:`P_at` and the
-residual checks use is sampled from that table; the kernel comes from
-:func:`delaylyap.model.kernel_exp`, the system's own table of ``expm(-Ad
-s)``.
+exponential. Every interior value of the Lyapunov matrix that
+:func:`P_at` and the residual checks use is sampled from that table; the
+kernel comes from :func:`delaylyap.model.kernel_exp`, the system's own
+table of ``expm(-Ad s)``.
 
 :class:`BlockAction` is the one definition of the dynamics: it
 multiplies by ``E`` through its blocks, in ``O(ns (n + nd))`` per column
@@ -36,6 +41,8 @@ instead of ``O(ns^2)``, and ``E`` itself is never formed. :func:`_reversal`,
 the map that swaps and transposes blocks 1 and 2, 3 and 6, and 4 and 5,
 negates ``E`` exactly, so the action on the unit columns of blocks 1, 3
 and 4 gives every entry of ``E``, half of them negated and permuted.
+Those columns, their partners and the other index maps that the layout
+alone fixes are kept once per ``(n, nd)`` by :func:`_index_maps`.
 ``F1`` and ``F2`` are never formed either: ``G`` is built from their
 structure, ``E``'s first block row, one row block of ``E expm(E h)`` and
 copied row blocks of ``expm(E h)`` (see :func:`assemble`). Only that row
@@ -109,6 +116,39 @@ def _reversal(n, nd):
     return pi
 
 
+class _IndexMaps(NamedTuple):
+    """The index maps of the assembly that the layout alone fixes: the
+    :func:`_reversal` ``pi``, the columns ``I`` of blocks 1, 3 and 4 (the
+    indices ``k < pi[k]``) and their partners ``J = pi[I]``, the flat
+    positions of the ones in the unit columns ``I``, an ``(ns, ns / 2)``
+    array, and those of ``F1``'s identity blocks in ``G``, an ``(ns,
+    ns)`` array."""
+
+    pi: np.ndarray
+    I: np.ndarray
+    J: np.ndarray
+    units: np.ndarray
+    eye: np.ndarray
+
+
+@cache
+def _index_maps(n, nd):
+    """:class:`_IndexMaps` of the layout ``(n, nd)``, read-only and
+    shared by every system of that layout."""
+    off = _layout(n, nd)[1]
+    ns = off[-1]
+    pi = _reversal(n, nd)
+    I = np.flatnonzero(np.arange(ns) < pi)
+    units = I * I.size + np.arange(I.size)
+    # F1's identity blocks, taking column block j of omega(0) to row block i
+    eye = np.concatenate([np.arange(off[i], off[i + 1]) * (ns + 1) + off[j] - off[i]
+                          for i, j in ((1, 0), (2, 2), (3, 4))])
+    maps = _IndexMaps(pi, I, pi[I], units, eye)
+    for a in maps[1:]:
+        a.flags.writeable = False
+    return maps
+
+
 class OmegaBlocks(NamedTuple):
     """The stacked auxiliary state as its six matrices, in block order.
 
@@ -175,17 +215,17 @@ class BlockAction:
         A0, A1, Ad, Bd, Cd = sys.A0, sys.A1, sys.Ad, sys.Bd, sys.Cd
         n, nd = sys.n, sys.internal_dim
         Ead = Cd @ linalg.expm(Ad, -sys.h)
-        right = np.zeros((2 * n + 2 * nd, n + 2 * nd))
-        right[:n, :n], right[:n, n:n + nd] = A0, Cd
-        right[n:2 * n, :n], right[n:2 * n, n + nd:] = A1, -Ead
-        right[2 * n:, :n] = np.vstack([Bd, Bd])
-        right[2 * n:2 * n + nd, n:n + nd] = -Ad
-        right[2 * n + nd:, n + nd:] = -Ad
+        right_T = np.zeros((n + 2 * nd, 2 * n + 2 * nd))
+        right_T[:n, :n], right_T[n:n + nd, :n] = A0.T, Cd.T
+        right_T[:n, n:2 * n], right_T[n + nd:, n:2 * n] = A1.T, -Ead.T
+        right_T[:n, 2 * n:2 * n + nd] = right_T[:n, 2 * n + nd:] = Bd.T
+        right_T[n:n + nd, 2 * n:2 * n + nd] = -Ad.T
+        right_T[n + nd:, 2 * n + nd:] = -Ad.T
         left = np.zeros((n + 2 * nd, 2 * n + 2 * nd))
         left[:n] = -np.hstack([A1.T, A0.T, Bd.T, Bd.T])
         left[n:n + nd, :n], left[n:n + nd, 2 * n:2 * n + nd] = Ead.T, Ad.T
         left[n + nd:, n:2 * n], left[n + nd:, 2 * n + nd:] = -Cd.T, Ad.T
-        self.right_T = right.T.copy()
+        self.right_T = right_T
         self.left = left
         self.n, self.nd = n, nd
         self.off = _layout(n, nd)[1]
@@ -343,29 +383,28 @@ def _assemble_parts(sys):
     ``ns`` and the action."""
     action = BlockAction(sys)
     off = action.off
-    ns = off[-1]
-    pi = _reversal(sys.n, sys.internal_dim)
-    # E's columns I (blocks 1, 3 and 4); its columns pi[I] are -EI[pi]
-    I = np.flatnonzero(np.arange(ns) < pi)
+    ns, m = off[-1], off[1]
+    maps = _index_maps(sys.n, sys.internal_dim)
+    I, J = maps.I, maps.J
+    # E's columns I (blocks 1, 3 and 4); its columns J = pi[I] are -EI[pi]
     units = np.zeros((ns, I.size))
-    units[I, np.arange(I.size)] = 1.0
+    units.flat[maps.units] = 1.0
     EI = action(units)
     del units
     E_norm = linalg.norm1(EI)
     try:
-        expm_Eh = linalg.odd_expm(EI, sys.h, pi)
+        expm_Eh = linalg.odd_expm(EI, sys.h, maps.pi)
     except OverflowError as exc:
         raise OverflowError("expm(E h) overflowed at h = %g, ||E h||_1 = %.3g"
                             % (sys.h, E_norm * sys.h)) from exc
     G = np.zeros((ns, ns))
-    # F1's first rows are E's omega1 rows, F2's minus its omega2 rows
-    G[:off[1], I] = EI[:off[1]]
-    G[:off[1], pi[I]] = -EI[pi[:off[1]]]
+    # F1's first rows are E's omega1 rows, F2's minus its omega2 rows; block
+    # 1 lies in I, so its partners pi[:m] are J[:m]
+    G[:m, I] = EI[:m]
+    G[:m, J] = -EI[J[:m]]
     del EI
-    G[:off[1]] -= action.omega2_rows(expm_Eh)
-    # F1's identity blocks, taking column block j of omega(0) to row block i
-    for i, j in ((1, 0), (2, 2), (3, 4)):
-        np.fill_diagonal(G[off[i]:off[i + 1], off[j]:off[j + 1]], 1.0)
+    G[:m] -= action.omega2_rows(expm_Eh)
+    G.flat[maps.eye] = 1.0
     # F2's signed identity blocks times expm_Eh: row blocks of expm_Eh
     for i, j, sign in ((1, 1, -1.0), (4, 3, 1.0), (5, 5, 1.0)):
         G[off[i]:off[i + 1]] += sign * expm_Eh[off[j]:off[j + 1]]
@@ -377,36 +416,40 @@ def _assemble_parts(sys):
 
 @dataclass(frozen=True, eq=False)
 class LyapunovSolution:
-    """Boundary solve outcome: initial state plus everything needed to
-    propagate it.
+    """Boundary solve outcome: the states at both ends of the interval,
+    ``P`` there, and everything needed to propagate them.
 
-    The state at ``tau = h`` and ``omega_table``, which samples ``expm(E
-    tau) omega0`` on ``[0, h]``, are built on first use and kept. Only
-    interior points need the table, so a system with ``h = 0``, or a
-    caller that asks for ``P(0)`` and ``P(h)`` alone, never builds it.
+    ``ends`` stacks ``omega(0)`` and ``omega(h) = expm(E h) omega(0)``,
+    shape ``(2, ns)``, and ``P_ends`` stacks ``P(0)`` and ``P(h)``, shape
+    ``(2, n, n)``; :func:`solve_boundary` forms both, read-only, and
+    :attr:`omega0` and :attr:`omega_h` are the blocks of ``ends`` as views.
+    ``omega_table``, which samples ``expm(E tau) omega(0)`` on ``[0, h]``,
+    is built on first use and kept. Only interior lags need it, so a
+    system with ``h = 0``, or a caller that asks for ``P(0)`` and ``P(h)``
+    alone, never builds it.
     """
 
     system: object
     weight: object
     op: AuxOperator
-    omega0: OmegaBlocks
+    ends: np.ndarray
+    P_ends: np.ndarray
     spectrum: spectrum_mod.SpectrumReport
 
-    @cached_property
-    def _ends(self):
-        """The stacked states ``omega(0)`` and ``omega(h)``, shape ``(2, ns)``."""
-        stacked = self.omega0.stacked
-        return np.stack([stacked, self.op.expm_Eh @ stacked])
+    @property
+    def omega0(self):
+        return OmegaBlocks.from_stacked(self.ends[0], self.system.n,
+                                        self.system.internal_dim)
 
-    @cached_property
+    @property
     def omega_h(self):
-        return OmegaBlocks.from_stacked(self._ends[1], self.system.n,
+        return OmegaBlocks.from_stacked(self.ends[1], self.system.n,
                                         self.system.internal_dim)
 
     @cached_property
     def omega_table(self):
         return linalg.ExpmTable(self.op.action, self.op.E_norm, self.system.h,
-                                self.omega0.stacked)
+                                self.ends[0])
 
 
 def solve_boundary(op, weight,
@@ -417,8 +460,10 @@ def solve_boundary(op, weight,
     :func:`delaylyap.spectrum.check` applies ``hard`` and ``borderline``
     to the grade of ``G`` that :func:`assemble` took, which decides
     whether the system has a solution; no decomposition is taken here.
-    What remains is one LU solve of ``G x = rhs``, the residual rows of
-    ``rhs`` being ``-vec(Q)`` and zeros.
+    What remains is one LU solve of ``G x = rhs`` for ``omega(0)``, the
+    residual rows of ``rhs`` being ``-vec(Q)`` and zeros, one product
+    ``omega(h) = expm(E h) omega(0)``, and ``P(0)`` and ``P(h)`` from
+    blocks 1 and 2 of both, kept on the solution.
 
     Parameters
     ----------
@@ -449,9 +494,18 @@ def solve_boundary(op, weight,
         raise spectrum_mod.SpectrumConditionViolated(report)
     rhs = np.zeros(op.ns)
     rhs[: n * n] = -vec(weight.matrix)
-    omega0 = OmegaBlocks.from_stacked(np.linalg.solve(op.G, rhs),
-                                      n, op.system.internal_dim)
-    return LyapunovSolution(op.system, weight, op, omega0, report)
+    ends = np.empty((2, op.ns))
+    ends[0] = np.linalg.solve(op.G, rhs)
+    # omega(h) is omega(0) itself at h = 0
+    ends[1] = op.expm_Eh @ ends[0] if op.system.h else ends[0]
+    # blocks 1 and 2 of both states, read row-major, so each is its block
+    # transposed (see OmegaBlocks.from_stacked): P(0) and P(h) average block
+    # 1 at one end and block 2, transposed, at the other
+    R = ends[:, :2 * n * n].reshape(2, 2, n, n)
+    P_ends = 0.5 * (R[:, 0].swapaxes(1, 2) + R[::-1, 1])
+    for M in (ends, P_ends):
+        M.flags.writeable = False
+    return LyapunovSolution(op.system, weight, op, ends, P_ends, report)
 
 
 def solve(sys, weight):
@@ -460,8 +514,8 @@ def solve(sys, weight):
     Below :data:`delaylyap.linalg.KRYLOV_MIN_ORDER` the assembly and its
     solvability grade come from :func:`assemble`'s memo, keyed by the
     system object, so solving one system for several weights assembles
-    and grades it once. The thresholds and the LU solve of
-    :func:`solve_boundary` run on every call."""
+    and grades it once. The thresholds, the LU solve and the product for
+    ``omega(h)`` of :func:`solve_boundary` run on every call."""
     return solve_boundary(assemble(sys), weight)
 
 
@@ -472,7 +526,7 @@ def _stacked_at(sol, t, cols=slice(None)):
     t = np.asarray(t, dtype=float)
     moved = t != 0
     # omega(0) where t = 0, omega(h) elsewhere until the table fills the inside
-    stacked = sol._ends[:, cols][moved.astype(int)]
+    stacked = sol.ends[:, cols][moved.astype(int)]
     inside = moved & (t != sol.system.h)
     if inside.any():
         stacked[inside] = sol.omega_table(t[inside], cols)
@@ -504,12 +558,20 @@ def P_at(sol, tau):
     Values on ``[0, h]`` average block 1 of ``omega(tau)`` and the
     transpose of block 2 of ``omega(h - tau)``; negative arguments use the
     reflection ``P(-tau) = P(tau).T``. ``P(0)`` and ``P(h)`` read the
-    boundary states ``omega(0)`` and ``omega(h) = expm(E h) omega(0)``;
-    interior lags sample the solution's table of ``expm(E tau) omega(0)``,
-    built on the first such call, so each further lag costs ``O(ns)``
-    instead of two ``ns x ns`` exponentials.
+    boundary states ``omega(0)`` and ``omega(h) = expm(E h) omega(0)``,
+    and a scalar lag of exactly ``0`` or ``+-h`` is a copy of the
+    solution's ``P_ends``, with no further work; interior lags sample the
+    solution's table of ``expm(E tau) omega(0)``, built on the first such
+    call, so each further lag costs ``O(ns)`` instead of two ``ns x ns``
+    exponentials. Every result owns its data.
     """
     h = sol.system.h
+    if isinstance(tau, (float, int, np.floating, np.integer)):
+        # NaN fails both tests and is refused below
+        if tau == 0:
+            return sol.P_ends[0].copy()
+        if abs(tau) == h:
+            return sol.P_ends[1].copy() if tau > 0 else sol.P_ends[1].T.copy()
     tau = np.asarray(tau, dtype=float)
     a = np.abs(tau)
     bad = ~(a <= h + 1e-9 * max(1.0, h))

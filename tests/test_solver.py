@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import re
 import weakref
 from functools import partial
 
@@ -25,7 +26,7 @@ from delaylyap import (
 )
 from delaylyap import linalg, quadrature, solver
 from delaylyap.cli import VALIDATION_BOUNDS
-from delaylyap.solver import BlockAction, OmegaBlocks, _layout, _reversal
+from delaylyap.solver import BlockAction, OmegaBlocks, _index_maps, _layout, _reversal
 
 from systems import (
     benchmark_sincos_pieces,
@@ -165,6 +166,40 @@ class TestBlockLayout:
         for i, j in ((0, 1), (2, 5), (3, 4)):
             assert np.array_equal(flipped[i], om[j].T)
             assert np.array_equal(flipped[j], om[i].T)
+
+    @pytest.mark.parametrize("n,nd", [(1, 1), (2, 3), (3, 2)])
+    def test_index_maps_are_cached_and_read_only(self, n, nd):
+        maps = _index_maps(n, nd)
+        assert _index_maps(n, nd) is maps
+        off = _layout(n, nd)[1]
+        ns = off[-1]
+        pi = _reversal(n, nd)
+        assert maps.pi is pi
+        # I: blocks 1, 3 and 4, the indices below their partners
+        I = np.r_[:off[1], off[2]:off[4]]
+        assert np.array_equal(maps.I, I)
+        assert np.array_equal(maps.I, np.flatnonzero(np.arange(ns) < pi))
+        assert np.array_equal(maps.J, pi[I])
+        units = np.zeros((ns, I.size))
+        units.flat[maps.units] = 1.0
+        assert np.array_equal(units, np.eye(ns)[:, I])
+        eye = np.zeros((ns, ns))
+        eye.flat[maps.eye] = 1.0
+        want = np.zeros((ns, ns))
+        for i, j in ((1, 0), (2, 2), (3, 4)):
+            np.fill_diagonal(want[off[i]:off[i + 1], off[j]:off[j + 1]], 1.0)
+        assert np.array_equal(eye, want)
+        # index arrays of the layout alone: read-only, and the same before
+        # and after systems of this layout are assembled
+        before = [a.copy() for a in maps]
+        for a in maps:
+            assert a.dtype == np.intp and not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+        for seed in (0, 1):
+            assemble(random_stable_system(seed, n, nd))
+        assert _index_maps(n, nd) is maps
+        assert all(np.array_equal(a, b) for a, b in zip(maps, before))
 
     def test_omega_blocks_validation(self):
         with pytest.raises(ValueError):
@@ -704,14 +739,51 @@ class TestPropagationTable:
         monkeypatch.setattr(linalg, "ExpmTable", counting)
         sys, weight = benchmark_system()
         sol = solve(sys, weight)
-        P_at(sol, 0.0)
-        P_at(sol, sys.h)
+        h = sys.h
+        # the ends, in every form, read the boundary states alone
+        for tau in (0.0, -0.0, h, -h, np.float64(-h), np.float32(h), 0,
+                    np.array(h), np.array(-0.0), [0.0, h, -h], h + 1e-12):
+            P_at(sol, tau)
         assert built == []
+        assert "omega_table" not in vars(sol)
         P_at(sol, 0.3)
         table = sol.omega_table
         P_at(sol, 0.7)
         assert len(built) == 1
         assert sol.omega_table is table
+
+    def test_end_lags_read_the_pair(self):
+        sys, weight = benchmark_system()
+        sol = solve(sys, weight)
+        h = sys.h
+        lags = [0.0, -0.0, h, -h, 0.25, -0.75]
+        # one call over every lag is the reference; the lags are exact in
+        # single precision, so every form below names the same lag
+        want = P_at(sol, np.array(lags))
+        P0, Ph = sol.P_ends
+        assert np.array_equal(want[:4], [P0, P0, Ph, Ph.T])
+        for i, tau in enumerate(lags):
+            for form in (float, np.float64, np.float32, np.array, lambda t: [t]):
+                got = P_at(sol, form(tau))
+                ref = want[i:i + 1] if isinstance(form(tau), list) else want[i]
+                assert got.tobytes() == ref.tobytes() and got.shape == ref.shape
+                # each result owns its data; writing into it leaves the
+                # next read as it was
+                assert got.flags.owndata and got.flags.writeable
+                got[...] = np.nan
+                assert P_at(sol, form(tau)).tobytes() == ref.tobytes()
+        # a lag within the slack past h reads P(h)
+        assert np.array_equal(P_at(sol, h + 1e-12), want[2])
+        assert not sol.P_ends.flags.writeable and not sol.ends.flags.writeable
+
+    @pytest.mark.parametrize("form", [float, np.float64, np.array, lambda t: [t]])
+    def test_lags_outside_are_refused(self, form):
+        sys, weight = benchmark_system()
+        sol = solve(sys, weight)
+        for tau in (1.5, -1.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=r"^tau=%s outside \[-h, h\] with h=1$"
+                               % re.escape(repr(tau))):
+                P_at(sol, form(tau))
 
     def test_zero_delay_builds_no_table(self):
         sys, weight = scalar_decay(h=0.0)
