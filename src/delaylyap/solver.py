@@ -41,8 +41,8 @@ instead of ``O(ns^2)``, and ``E`` itself is never formed. :func:`_reversal`,
 the map that swaps and transposes blocks 1 and 2, 3 and 6, and 4 and 5,
 negates ``E`` exactly, so the action on the unit columns of blocks 1, 3
 and 4 gives every entry of ``E``, half of them negated and permuted.
-Those columns, their partners and the other index maps that the layout
-alone fixes are kept once per ``(n, nd)`` by :func:`_index_maps`.
+Those columns and the other index maps that the layout alone fixes are
+kept once per ``(n, nd)`` by :func:`_index_maps`.
 ``F1`` and ``F2`` are never formed either: ``G`` is built from their
 structure, ``E``'s first block row, one row block of ``E expm(E h)`` and
 copied row blocks of ``expm(E h)`` (see :func:`assemble`). Only that row
@@ -118,15 +118,12 @@ def _reversal(n, nd):
 
 class _IndexMaps(NamedTuple):
     """The index maps of the assembly that the layout alone fixes: the
-    :func:`_reversal` ``pi``, the columns ``I`` of blocks 1, 3 and 4 (the
-    indices ``k < pi[k]``) and their partners ``J = pi[I]``, the flat
-    positions of the ones in the unit columns ``I``, an ``(ns, ns / 2)``
-    array, and those of ``F1``'s identity blocks in ``G``, an ``(ns,
-    ns)`` array."""
+    columns ``I`` of blocks 1, 3 and 4 (the indices ``k < pi[k]`` of the
+    :func:`_reversal` ``pi``), the flat positions of the ones in the unit
+    columns ``I``, an ``(ns, ns / 2)`` array, and those of ``F1``'s
+    identity blocks in ``G``, an ``(ns, ns)`` array."""
 
-    pi: np.ndarray
     I: np.ndarray
-    J: np.ndarray
     units: np.ndarray
     eye: np.ndarray
 
@@ -137,14 +134,13 @@ def _index_maps(n, nd):
     shared by every system of that layout."""
     off = _layout(n, nd)[1]
     ns = off[-1]
-    pi = _reversal(n, nd)
-    I = np.flatnonzero(np.arange(ns) < pi)
+    I = np.flatnonzero(np.arange(ns) < _reversal(n, nd))
     units = I * I.size + np.arange(I.size)
     # F1's identity blocks, taking column block j of omega(0) to row block i
     eye = np.concatenate([np.arange(off[i], off[i + 1]) * (ns + 1) + off[j] - off[i]
                           for i, j in ((1, 0), (2, 2), (3, 4))])
-    maps = _IndexMaps(pi, I, pi[I], units, eye)
-    for a in maps[1:]:
+    maps = _IndexMaps(I, units, eye)
+    for a in maps:
         a.flags.writeable = False
     return maps
 
@@ -356,16 +352,16 @@ def assemble(sys):
     omega5(0) = 0`` and ``omega4(h) = omega6(h) = 0``. Every other block of
     the pair is zero or a signed identity, so ``G = F1 + F2 expm(E h)`` is
     formed from that structure: its first rows are ``E``'s first block
-    row, read from ``E_I`` in the columns ``I`` and from ``-E_I[pi]`` in
-    the columns ``pi[I]``, minus the omega2 rows of ``E expm(E h)``, and
-    the rest are ``F1``'s identity blocks plus signed row blocks of
-    ``expm(E h)``. Only those ``n^2`` rows of the product are formed, by
+    row, ``right_T[:n]`` of the :class:`BlockAction` times an identity of
+    order ``n`` in each of its ``n x n`` blocks, minus the omega2 rows of
+    ``E expm(E h)``, and the rest are ``F1``'s identity blocks plus signed
+    row blocks of ``expm(E h)``. Only those ``n^2`` rows of the product are formed, by
     :meth:`BlockAction.omega2_rows`, never the whole ``E expm(E h)``.
 
     With the exponential's temporaries freed as it goes (see
-    :func:`delaylyap.linalg._half_order_expm`) and ``E_I`` freed once
-    ``G``'s first rows are read from it, the assembly's peak is the Lanczos
-    grade's inverse of the core of ``G`` on top of ``expm(E h)`` and
+    :func:`delaylyap.linalg._half_order_expm`) and ``E_I`` freed before
+    ``G`` is allocated, the assembly's peak is the Lanczos grade's inverse
+    of the core of ``G`` on top of ``expm(E h)`` and
     ``G``: under three and a half ``ns x ns`` arrays in all at ``n = nd =
     8``, the Lanczos vectors kept only for the steps taken.
     """
@@ -382,27 +378,27 @@ def _assemble_parts(sys):
     ``||E||_1``, ``expm_Eh`` and ``G`` read-only, the grade of ``G``,
     ``ns`` and the action."""
     action = BlockAction(sys)
-    off = action.off
+    n, off = sys.n, action.off
     ns, m = off[-1], off[1]
-    maps = _index_maps(sys.n, sys.internal_dim)
-    I, J = maps.I, maps.J
-    # E's columns I (blocks 1, 3 and 4); its columns J = pi[I] are -EI[pi]
-    units = np.zeros((ns, I.size))
+    maps = _index_maps(n, sys.internal_dim)
+    # E's columns I (blocks 1, 3 and 4); its columns pi[I] are -EI[pi]
+    units = np.zeros((ns, maps.I.size))
     units.flat[maps.units] = 1.0
     EI = action(units)
     del units
     E_norm = linalg.norm1(EI)
     try:
-        expm_Eh = linalg.odd_expm(EI, sys.h, maps.pi)
+        expm_Eh = linalg.odd_expm(EI, sys.h, _reversal(n, sys.internal_dim))
     except OverflowError as exc:
         raise OverflowError("expm(E h) overflowed at h = %g, ||E h||_1 = %.3g"
                             % (sys.h, E_norm * sys.h)) from exc
-    G = np.zeros((ns, ns))
-    # F1's first rows are E's omega1 rows, F2's minus its omega2 rows; block
-    # 1 lies in I, so its partners pi[:m] are J[:m]
-    G[:m, I] = EI[:m]
-    G[:m, J] = -EI[J[:m]]
     del EI
+    G = np.zeros((ns, ns))
+    # F1's first rows are E's omega1 rows, F2's minus its omega2 rows. As
+    # o1' = [o1 o2 o3 o4] right, E's omega1 rows are right_T[:n] kron I_n
+    # in the columns of blocks 1 to 4, and zero in those of blocks 5 and 6
+    np.einsum("ijkj->ijk", G[:m, :off[4]].reshape(n, n, -1, n))[...] = \
+        action.right_T[:n, None]
     G[:m] -= action.omega2_rows(expm_Eh)
     G.flat[maps.eye] = 1.0
     # F2's signed identity blocks times expm_Eh: row blocks of expm_Eh
@@ -496,13 +492,11 @@ def solve_boundary(op, weight,
     rhs[: n * n] = -vec(weight.matrix)
     ends = np.empty((2, op.ns))
     ends[0] = np.linalg.solve(op.G, rhs)
-    # omega(h) is omega(0) itself at h = 0
-    ends[1] = op.expm_Eh @ ends[0] if op.system.h else ends[0]
-    # blocks 1 and 2 of both states, read row-major, so each is its block
-    # transposed (see OmegaBlocks.from_stacked): P(0) and P(h) average block
-    # 1 at one end and block 2, transposed, at the other
+    ends[1] = op.expm_Eh @ ends[0]
+    # blocks 1 and 2 of both states: P(0) pairs block 1 of omega(0) with
+    # block 2 of omega(h), and P(h) block 1 of omega(h) with block 2 of omega(0)
     R = ends[:, :2 * n * n].reshape(2, 2, n, n)
-    P_ends = 0.5 * (R[:, 0].swapaxes(1, 2) + R[::-1, 1])
+    P_ends = _average(R[:, 0], R[::-1, 1])
     for M in (ends, P_ends):
         M.flags.writeable = False
     return LyapunovSolution(op.system, weight, op, ends, P_ends, report)
@@ -531,6 +525,15 @@ def _stacked_at(sol, t, cols=slice(None)):
     if inside.any():
         stacked[inside] = sol.omega_table(t[inside], cols)
     return stacked
+
+
+def _average(X1, X2):
+    """``P(tau)`` from blocks 1 and 2 read row-major from stacked states,
+    so each is the transpose of its block (see
+    :meth:`OmegaBlocks.from_stacked`): the average of block 1 of
+    ``omega(tau)``, ``X1`` transposed, and the transpose of block 2 of
+    ``omega(h - tau)``, ``X2``, over the trailing two axes."""
+    return 0.5 * (X1.swapaxes(-1, -2) + X2)
 
 
 def _propagators(sol, t):
@@ -580,7 +583,7 @@ def P_at(sol, tau):
                          % (float(tau[bad].flat[0]), h))
     a = np.minimum(a, h)
     R = _propagators(sol, np.array([a, h - a]))
-    P = 0.5 * (R[0, ..., 0, :, :].swapaxes(-1, -2) + R[1, ..., 1, :, :])
+    P = _average(R[0, ..., 0, :, :], R[1, ..., 1, :, :])
     if (tau < 0).any():
         P = np.where((tau < 0)[..., None, None], P.swapaxes(-1, -2), P)
     return P

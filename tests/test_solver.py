@@ -173,13 +173,10 @@ class TestBlockLayout:
         assert _index_maps(n, nd) is maps
         off = _layout(n, nd)[1]
         ns = off[-1]
-        pi = _reversal(n, nd)
-        assert maps.pi is pi
         # I: blocks 1, 3 and 4, the indices below their partners
         I = np.r_[:off[1], off[2]:off[4]]
         assert np.array_equal(maps.I, I)
-        assert np.array_equal(maps.I, np.flatnonzero(np.arange(ns) < pi))
-        assert np.array_equal(maps.J, pi[I])
+        assert np.array_equal(maps.I, np.flatnonzero(np.arange(ns) < _reversal(n, nd)))
         units = np.zeros((ns, I.size))
         units.flat[maps.units] = 1.0
         assert np.array_equal(units, np.eye(ns)[:, I])
