@@ -227,12 +227,10 @@ def _half_order_expm(MI, scale, pi):
 
 
 def _checked(exp, M, scale):
-    """``exp(M, scale)`` with ``scale = 0`` giving the identity exactly,
-    an integer ``M`` taken as float and an overflow raised as
-    ``OverflowError``."""
-    m = M.shape[0]
-    if scale == 0:
-        return np.eye(m, dtype=np.result_type(M.dtype, float))
+    """``exp(M, scale)`` with an integer ``M`` taken as float and an
+    overflow, or a non-finite ``M`` at any scale, raised as
+    ``OverflowError``. Both exponentials give the identity exactly at
+    ``scale = 0``."""
     if M.dtype.kind not in "fc":
         M = M.astype(float)
     # an overflow shows as a non-finite result, checked below
@@ -265,7 +263,8 @@ def expm(M, scale=1.0):
     Raises
     ------
     OverflowError
-        If the result contains non-finite entries.
+        If ``M`` or the result contains non-finite entries, at every
+        scale.
     """
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -299,7 +298,8 @@ def odd_expm(MI, scale, pi):
     Raises
     ------
     OverflowError
-        If the result contains non-finite entries.
+        If ``MI`` or the result contains non-finite entries, at every
+        scale.
     """
     MI = np.asarray(MI)
     if MI.ndim != 2 or 2 * MI.shape[1] != MI.shape[0]:

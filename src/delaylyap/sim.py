@@ -101,7 +101,7 @@ class HistorySpec:
     def convolution_state(self, sys):
         """Initial internal variable ``int_{-h}^0 expm(Ad th) Bd phi(th) dth``,
         zero for a point mass."""
-        if self.phi is None or sys.h == 0:
+        if self.phi is None:
             return np.zeros((sys.internal_dim, self.columns))
 
         def f(theta):
@@ -182,23 +182,21 @@ class Trajectory:
             fh.write(row * rows.shape[0] % tuple(rows.ravel().tolist()))
 
 
-def _resolve_step(h, T, dt):
-    if not np.isfinite(T) or T <= 0:
-        raise ValueError("horizon T must be positive, got %r" % T)
+def _resolve_step(h, dt):
+    """The step of a run and the number ``m`` of steps per delay: ``dt =
+    h / m``, ``m = 64`` by default or the integer ``m >= 20`` that a given
+    ``dt`` names. At ``h = 0`` the step is ``dt``, by default ``1/64``, and
+    ``m = 0``."""
     if dt is not None and not 0 < dt < math.inf:
         raise ValueError("dt must be positive and finite, got %r" % dt)
-    m = 0
-    if h > 0:
-        m = 64 if dt is None else int(round(h / dt))
-        if dt is not None and (m < 20 or abs(m * dt - h) > 1e-9 * h):
-            raise ValueError(
-                "dt must be h/m for an integer m >= 20; got dt=%g, h=%g" % (dt, h)
-            )
-        dt = h / m
-    elif dt is None:
-        dt = T / 2048
-    steps = int(math.ceil(T / dt - 1e-9))
-    return dt, m, max(steps, 1)
+    if h == 0:
+        return (1.0 / 64 if dt is None else dt), 0
+    m = 64 if dt is None else int(round(h / dt))
+    if dt is not None and (m < 20 or abs(m * dt - h) > 1e-9 * h):
+        raise ValueError(
+            "dt must be h/m for an integer m >= 20; got dt=%g, h=%g" % (dt, h)
+        )
+    return h / m, m
 
 
 def simulate(sys, history, T, dt=None):
@@ -212,7 +210,7 @@ def simulate(sys, history, T, dt=None):
         Horizon; the run covers ``[0, ceil(T/dt) dt]``.
     dt : float, optional
         Step, an integer fraction ``h/m`` with ``m >= 20``. Defaults to
-        ``h/64`` (or ``T/2048`` when ``h = 0``).
+        ``h/64`` (or ``1/64`` when ``h = 0``).
 
     Returns
     -------
@@ -226,11 +224,11 @@ class _Run:
     trajectory to a horizon, stepping on from the end of the longest one
     taken so far.
 
-    A fixed-step record does not depend on its length, so each trajectory
-    is bitwise that of a fresh :func:`simulate` to the same horizon. The
-    oracles' doubled horizons therefore step each interval once. A horizon
-    that resolves to another step, as the default step of a system with
-    ``h = 0`` does, starts the record over.
+    The step is fixed when the run is made, with the step matrices and a
+    record holding the initial state; a fixed-step record does not depend
+    on its length, so each trajectory is bitwise that of a fresh
+    :func:`simulate` to the same horizon. The oracles' doubled horizons
+    therefore step each interval once.
     """
 
     def __init__(self, sys, history, dt=None):
@@ -239,16 +237,10 @@ class _Run:
                 "history dimension %d does not match state dimension %d"
                 % (history.dim, sys.n)
             )
-        self.sys, self.history, self.requested_dt = sys, history, dt
-        self.n, self.nd = sys.n, sys.internal_dim
-        self.dt = None
-
-    def _start(self, dt, m):
-        """Build the step matrices for step ``dt`` and an empty record
-        holding the initial state; ``m`` steps span the delay."""
-        sys, history = self.sys, self.history
         h = sys.h
-        n, nd = self.n, self.nd
+        dt, m = _resolve_step(h, dt)
+        n, nd = self.n, self.nd = sys.n, sys.internal_dim
+        self.history = history
         s = n + nd
         L = 3 * s
         c = history.columns
@@ -342,9 +334,10 @@ class _Run:
 
     def to(self, T):
         """The trajectory to the horizon ``T``, as :func:`simulate` runs it."""
-        dt, m, steps = _resolve_step(self.sys.h, T, self.requested_dt)
-        if dt != self.dt:
-            self._start(dt, m)
+        if not np.isfinite(T) or T <= 0:
+            raise ValueError("horizon T must be positive, got %r" % T)
+        dt = self.dt
+        steps = max(int(math.ceil(T / dt - 1e-9)), 1)
         if steps > self.steps:
             self._advance(steps)
         n, nd = self.n, self.nd
@@ -519,14 +512,11 @@ def oracle_P(sys, weight, tau, T=None, dt=None, tail_tol=TAIL_TOL):
     Q = weight.matrix
     if Q.shape[0] != sys.n:
         raise ValueError("weight dimension does not match the system")
-    if dt is None:
-        dt = sys.h / 64 if sys.h > 0 else 1.0 / 64
-
     record = _Run(sys, HistorySpec.point_mass(np.eye(sys.n)), dt)
 
     def run(T, pending):
         # margin keeps the shifted reads t + tau inside the record
-        traj = record.to(T + lags[pending].max() + 2 * dt)
+        traj = record.to(T + lags[pending].max() + 2 * record.dt)
         kT = int(round(T / traj.dt))
         ts = traj.ts[: kT + 1]
         samples = []

@@ -37,12 +37,13 @@ table of ``expm(-Ad s)``.
 
 :class:`BlockAction` is the one definition of the dynamics: it
 multiplies by ``E`` through its blocks, in ``O(ns (n + nd))`` per column
-instead of ``O(ns^2)``, and ``E`` itself is never formed. :func:`_reversal`,
-the map that swaps and transposes blocks 1 and 2, 3 and 6, and 4 and 5,
-negates ``E`` exactly, so the action on the unit columns of blocks 1, 3
-and 4 gives every entry of ``E``, half of them negated and permuted.
-Those columns and the other index maps that the layout alone fixes are
-kept once per ``(n, nd)`` by :func:`_index_maps`.
+instead of ``O(ns^2)``, and ``E`` itself is never formed. The reversal
+``pi``, the map that swaps and transposes blocks 1 and 2, 3 and 6, and 4
+and 5, negates ``E`` exactly, so the action on the unit columns of blocks
+1, 3 and 4 gives every entry of ``E``, half of them negated and permuted.
+The block shapes and offsets, ``pi``, those columns and the other index
+maps that the layout alone fixes are kept once per ``(n, nd)`` by
+:func:`_layout`.
 ``F1`` and ``F2`` are never formed either: ``G`` is built from their
 structure, ``E``'s first block row, one row block of ``E expm(E h)`` and
 copied row blocks of ``expm(E h)`` (see :func:`assemble`). Only that row
@@ -87,24 +88,39 @@ from .quadrature import integrate, integrate_batch
 QUAD_TOL = 1e-10
 
 
+class _Layout(NamedTuple):
+    """What the block layout ``(n, nd)`` alone fixes, kept once by
+    :func:`_layout` and shared by every system of that layout; its arrays
+    are read-only.
+
+    ``shapes`` are the shapes of the six blocks in stacking order and
+    ``off`` their offsets in the stacked state, ending with its length
+    ``ns``. ``pi`` is the index map of the reversal of the stacked state:
+    ``w[pi]`` swaps blocks 1 and 2, 3 and 6, and 4 and 5, each
+    transposed, so that ``pi[pi]`` is the identity and no index is fixed.
+    The dynamics are odd under it, ``E[pi][:, pi] = -E`` exactly, which
+    pairs the spectrum of ``E`` as ``(lambda, -lambda)``; a solution
+    satisfies ``w(tau)[pi] = w(h - tau)``. ``I`` holds the indices ``k <
+    pi[k]``, the columns of blocks 1, 3 and 4; ``units`` the flat
+    positions of the ones in the unit columns ``I``, an ``(ns, ns / 2)``
+    array; and ``eye`` those of ``F1``'s identity blocks in ``G``, an
+    ``(ns, ns)`` array."""
+
+    shapes: tuple
+    off: tuple
+    pi: np.ndarray
+    I: np.ndarray
+    units: np.ndarray
+    eye: np.ndarray
+
+
 @cache
 def _layout(n, nd):
-    """Shapes of the six blocks in stacking order, and their offsets in
-    the stacked state, ending with its length ``ns``."""
+    """The :class:`_Layout` of the block layout ``(n, nd)``."""
     shapes = ((n, n), (n, n), (n, nd), (n, nd), (nd, n), (nd, n))
-    return shapes, tuple(accumulate((r * c for r, c in shapes), initial=0))
-
-
-@cache
-def _reversal(n, nd):
-    """Index map ``pi`` of the reversal of the stacked state: ``w[pi]``
-    swaps blocks 1 and 2, 3 and 6, and 4 and 5, each transposed, so that
-    ``pi[pi]`` is the identity and no index is fixed. The dynamics are odd
-    under it, ``E[pi][:, pi] = -E`` exactly, which pairs the spectrum of
-    ``E`` as ``(lambda, -lambda)``; a solution satisfies ``w(tau)[pi] =
-    w(h - tau)``. The array is read-only, shared by every caller."""
-    shapes, off = _layout(n, nd)
-    pi = np.empty(off[-1], dtype=np.intp)
+    off = tuple(accumulate((r * c for r, c in shapes), initial=0))
+    ns = off[-1]
+    pi = np.empty(ns, dtype=np.intp)
     for a, b in ((0, 1), (2, 5), (3, 4)):
         r, c = shapes[a]
         # entry (i, j) of block a, at i + j r, pairs with entry (j, i) of
@@ -112,37 +128,14 @@ def _reversal(n, nd):
         partner = off[b] + np.arange(r * c).reshape(r, c).ravel(order="F")
         pi[off[a]:off[a + 1]] = partner
         pi[partner] = np.arange(off[a], off[a + 1])
-    pi.flags.writeable = False
-    return pi
-
-
-class _IndexMaps(NamedTuple):
-    """The index maps of the assembly that the layout alone fixes: the
-    columns ``I`` of blocks 1, 3 and 4 (the indices ``k < pi[k]`` of the
-    :func:`_reversal` ``pi``), the flat positions of the ones in the unit
-    columns ``I``, an ``(ns, ns / 2)`` array, and those of ``F1``'s
-    identity blocks in ``G``, an ``(ns, ns)`` array."""
-
-    I: np.ndarray
-    units: np.ndarray
-    eye: np.ndarray
-
-
-@cache
-def _index_maps(n, nd):
-    """:class:`_IndexMaps` of the layout ``(n, nd)``, read-only and
-    shared by every system of that layout."""
-    off = _layout(n, nd)[1]
-    ns = off[-1]
-    I = np.flatnonzero(np.arange(ns) < _reversal(n, nd))
+    I = np.flatnonzero(np.arange(ns) < pi)
     units = I * I.size + np.arange(I.size)
     # F1's identity blocks, taking column block j of omega(0) to row block i
     eye = np.concatenate([np.arange(off[i], off[i + 1]) * (ns + 1) + off[j] - off[i]
                           for i, j in ((1, 0), (2, 2), (3, 4))])
-    maps = _IndexMaps(I, units, eye)
-    for a in maps:
+    for a in (pi, I, units, eye):
         a.flags.writeable = False
-    return maps
+    return _Layout(shapes, off, pi, I, units, eye)
 
 
 class OmegaBlocks(NamedTuple):
@@ -166,7 +159,7 @@ class OmegaBlocks(NamedTuple):
         and kernel dimension ``nd``. States stacked along leading axes,
         shape ``(..., ns)``, give blocks of shape ``(..., r, c)``; a wrong
         length raises ``ValueError``."""
-        shapes, off = _layout(n, nd)
+        shapes, off = _layout(n, nd)[:2]
         v = np.asarray(stacked, dtype=float)
         if v.shape[-1:] != (off[-1],):
             raise ValueError("stacked state has shape %s, expected (..., %d)"
@@ -224,7 +217,7 @@ class BlockAction:
         self.right_T = right_T
         self.left = left
         self.n, self.nd = n, nd
-        self.off = _layout(n, nd)[1]
+        self.off = _layout(n, nd).off
 
     def __call__(self, X, out=None):
         """``E @ X``, written into ``out`` (C-contiguous) if given, as
@@ -335,8 +328,9 @@ def assemble(sys):
 
     ``E`` is not formed. ``E_I = E[:, I]``, its columns ``I`` of blocks
     1, 3 and 4, is the system's :class:`BlockAction` applied to those unit
-    columns, and ``E`` is odd under :func:`_reversal` ``pi``, so its other
-    columns are ``E[:, pi[I]] = -E_I[pi]`` and ``||E||_1 = ||E_I||_1``.
+    columns, and ``E`` is odd under the reversal ``pi`` of :func:`_layout`,
+    so its other columns are ``E[:, pi[I]] = -E_I[pi]`` and ``||E||_1 =
+    ||E_I||_1``.
     ``expm(E h)`` is :func:`delaylyap.linalg.odd_expm` of ``E_I``: with
     ``p`` and ``q`` the sums and differences of the entries of blocks 1, 3
     and 4 and of their partners, ``p' = B q`` and ``q' = C p``, and
@@ -378,17 +372,17 @@ def _assemble_parts(sys):
     ``||E||_1``, ``expm_Eh`` and ``G`` read-only, the grade of ``G``,
     ``ns`` and the action."""
     action = BlockAction(sys)
-    n, off = sys.n, action.off
+    layout = _layout(sys.n, sys.internal_dim)
+    n, off = sys.n, layout.off
     ns, m = off[-1], off[1]
-    maps = _index_maps(n, sys.internal_dim)
     # E's columns I (blocks 1, 3 and 4); its columns pi[I] are -EI[pi]
-    units = np.zeros((ns, maps.I.size))
-    units.flat[maps.units] = 1.0
+    units = np.zeros((ns, layout.I.size))
+    units.flat[layout.units] = 1.0
     EI = action(units)
     del units
     E_norm = linalg.norm1(EI)
     try:
-        expm_Eh = linalg.odd_expm(EI, sys.h, _reversal(n, sys.internal_dim))
+        expm_Eh = linalg.odd_expm(EI, sys.h, layout.pi)
     except OverflowError as exc:
         raise OverflowError("expm(E h) overflowed at h = %g, ||E h||_1 = %.3g"
                             % (sys.h, E_norm * sys.h)) from exc
@@ -400,7 +394,7 @@ def _assemble_parts(sys):
     np.einsum("ijkj->ijk", G[:m, :off[4]].reshape(n, n, -1, n))[...] = \
         action.right_T[:n, None]
     G[:m] -= action.omega2_rows(expm_Eh)
-    G.flat[maps.eye] = 1.0
+    G.flat[layout.eye] = 1.0
     # F2's signed identity blocks times expm_Eh: row blocks of expm_Eh
     for i, j, sign in ((1, 1, -1.0), (4, 3, 1.0), (5, 5, 1.0)):
         G[off[i]:off[i + 1]] += sign * expm_Eh[off[j]:off[j + 1]]
@@ -541,7 +535,7 @@ def _propagators(sol, t):
     from the leading columns, so each is the transpose of its block (see
     :meth:`OmegaBlocks.from_stacked`): shape ``t.shape + (2, n, n)``."""
     n = sol.system.n
-    end = _layout(n, sol.system.internal_dim)[1][2]
+    end = _layout(n, sol.system.internal_dim).off[2]
     return _stacked_at(sol, t, slice(end)).reshape(np.shape(t) + (2, n, n))
 
 
@@ -640,10 +634,7 @@ def residual_algebraic(sol, quad_tol=QUAD_TOL):
         P_minus, P_plus = P_at(sol, np.stack([-theta, theta]))
         return K.swapaxes(-1, -2) @ P_minus + P_plus @ K
 
-    if sys.h > 0:
-        conv = integrate(f, -sys.h, 0.0, tol=quad_tol)
-    else:
-        conv = np.zeros((sys.n, sys.n))
+    conv = integrate(f, -sys.h, 0.0, tol=quad_tol)
     term = sys.A0.T @ P0 + P0 @ sys.A0 + sys.A1.T @ Ph + Ph.T @ sys.A1 + conv
     return linalg.maxabs(term + Q)
 
@@ -676,8 +667,6 @@ def residual_collapsed(sol, quad_tol=QUAD_TOL):
         B = np.where((p < 2)[:, None, None], R.swapaxes(-1, -2), R)
         return B @ (sol.system.Cd @ kernel_exp(sol.system, th))
 
-    if h == 0:  # every piece is empty
-        return linalg.maxabs(want)
     z, low = np.zeros_like(taus), np.full_like(taus, -h)
     lo = np.stack([-taus, low, low, taus - h], axis=1).ravel()
     hi = np.stack([z, -taus, taus - h, z], axis=1).ravel()
@@ -688,13 +677,13 @@ def residual_collapsed(sol, quad_tol=QUAD_TOL):
 def flip_residuals(sol):
     """Defects of the reversal symmetries relating the blocks across the
     interval at 11 evenly spaced lags, ``w(tau)[pi] = w(h - tau)`` for the
-    :func:`_reversal` ``pi``, block by block, plus the symmetry of block 1
-    at the origin."""
+    reversal ``pi`` of :func:`_layout`, block by block, plus the symmetry
+    of block 1 at the origin."""
     sys = sol.system
     n, nd = sys.n, sys.internal_dim
     taus = np.linspace(0.0, sys.h, 11)
     w = _stacked_at(sol, np.stack([taus, sys.h - taus]))
-    d = OmegaBlocks.from_stacked(w[0] - w[1][:, _reversal(n, nd)], n, nd)
+    d = OmegaBlocks.from_stacked(w[0] - w[1][:, _layout(n, nd).pi], n, nd)
     o1 = sol.omega0.omega1
     return {
         "omega1_flip": linalg.maxabs(d.omega1),

@@ -375,6 +375,25 @@ class TestSample:
         assert np.allclose(rows[:, 0], [0.0, 0.5, 1.0])
         assert abs(rows[0, 1] - 0.7072) < 5e-4
 
+    def test_config_grid_without_tau(self, tmp_path, capsys):
+        # no --tau: the config's grid, here five points on [0, h]
+        cfg = write_config(tmp_path, BENCHMARK)
+        rc = main(["sample", "--config", cfg, "--tau-points", "5", "--quiet"])
+        assert rc == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert rows.shape == (5, 5)
+        assert np.array_equal(rows[:, 0], [0.0, 0.25, 0.5, 0.75, 1.0])
+
+    def test_out_writes_the_printed_table(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BENCHMARK)
+        out = tmp_path / "out"
+        rc = main(["sample", "--config", cfg, "--tau", "0,0.5", "--out", str(out),
+                   "--quiet"])
+        assert rc == 0
+        assert (out / "P_tau.csv").read_text() == capsys.readouterr().out
+        assert [p.name for p in out.iterdir()] == ["P_tau.csv"]
+
     def test_bad_lag_list(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BENCHMARK)
         assert main(["sample", "--config", cfg, "--tau", "a,b"]) == 3
@@ -420,6 +439,12 @@ class TestDumpConfig:
         cfg = parse_config(str(DEMO_CONFIGS / "example1.json"))
         assert type(cfg) is dict
         assert json.loads(dump_config(cfg)) == cfg
+
+    def test_out_writes_the_printed_config(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["dump-config", "--out", str(out)]) == 0
+        assert (out / "config.json").read_text() == capsys.readouterr().out
+        assert [p.name for p in out.iterdir()] == ["config.json"]
 
     def test_fills_defaults(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BENCHMARK)
@@ -485,8 +510,9 @@ class TestInputErrors:
         (["--tolerance", "quadrature=-1"], {}),
         ([], {"tolerances": {"tail": float("nan")}}),
         ([], {"simulation": {"T": -1}}),
+        (["--tolerance", "singular=abc"], {}),
     ], ids=["tau-points-0", "tau-points-1", "tail-nan-flag", "quadrature-negative",
-            "tail-nan-file", "T-negative-file"])
+            "tail-nan-file", "T-negative-file", "singular-not-a-number"])
     def test_flags_and_file_share_checks(self, tmp_path, capsys, flags, section):
         payload = json.loads((DEMO_CONFIGS / "example1.json").read_text())
         payload.update(section)
@@ -500,8 +526,29 @@ class TestInputErrors:
         (("system", "A0"), [[-(10 ** 400), 0], [0, -1]], "system.A0"),
         (("system", "A0"), [["-1", "0"], ["0", "-1"]], "system.A0"),
         (("system", "A0"), [[-1.0, 0.0], [True, -1.0]], "system.A0"),
+        (("tau",), 3, "tau must be an object"),
+        (("system",), [1.0], "system must be an object"),
+        (("system", "kernel"), [1.0], "system.kernel must be an object"),
+        (("system", "kernel"), {"Ad": [[1.0]], "Bd": [[1.0, 0.0]]},
+         "system.kernel is missing the 'Cd' key"),
+        (("system", "A0"), [[-1.0, 0.0], [0.0]], "system.A0 must be a nonempty 2-d"),
+        (("Q",), [], "Q must be a nonempty 2-d"),
+        (("system", "kernel"), {"Ad": [[1.0]], "B0": [[1.0, 0.0]]},
+         "system.kernel mixes the factored and sincos forms"),
+        (("system", "kernel"), {}, "system.kernel must give Ad/Bd/Cd or B0/B1"),
+        (("tau",), {"values": []}, "tau.values must be a nonempty list"),
+        (("tau",), {"values": 0.5}, "tau.values must be a nonempty list"),
+        (("simulation", "histories"), [], "simulation.histories must be a nonempty"),
+        (("simulation", "histories"), {"x": [1.0, 0.0]},
+         "simulation.histories must be a nonempty"),
+        (("simulation", "histories"), [[1.0, 0.0], [1.0]],
+         "simulation.histories[1] must be a vector of length 2"),
     ], ids=["tau-values-beyond-h", "huge-int-scalar", "huge-int-matrix",
-            "string-entries", "bool-entry"])
+            "string-entries", "bool-entry", "section-not-object",
+            "system-not-object", "kernel-not-object", "missing-key",
+            "ragged-matrix", "empty-matrix", "mixed-kernel", "kernel-neither-form",
+            "tau-values-empty", "tau-values-not-list", "histories-empty",
+            "histories-not-list", "history-wrong-length"])
     def test_refused_while_parsing(self, tmp_path, capsys, path, value, key):
         # dump-config solves nothing, so these are refused by parse_config
         payload = json.loads((DEMO_CONFIGS / "example1.json").read_text())
@@ -513,6 +560,12 @@ class TestInputErrors:
         assert main(["dump-config", "--config", cfg]) == 3
         err = capsys.readouterr().err
         assert "input error" in err and key in err
+
+    def test_top_level_not_an_object(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, [BENCHMARK])
+        assert main(["dump-config", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "input error: top level of the config must be an object" in err
 
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

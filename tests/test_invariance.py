@@ -10,12 +10,17 @@ size, with no second solver:
   ``P``, is unchanged;
 - time scaling ``t = c s``: ``(c A0, c A1, c Ad, Bd, c^2 Cd, h / c)`` has
   ``P_c(s) = P(c s) / c``;
+- an inert kernel mode: one more mode ``a`` of ``Ad`` that ``Bd`` does not
+  reach, a zero new row of ``Bd`` and ``Ad[new, old] = 0``, or that ``Cd``
+  does not observe, a zero new column of ``Cd`` and ``Ad[old, new] = 0``,
+  leaves the kernel, and so ``P``, unchanged, whatever its other
+  couplings;
 - the kernel realized as state: ``z(t) = int_{-h}^0 expm(Ad th) Bd x(t +
   th) dth`` obeys ``z' = Bd x - expm(-Ad h) Bd x(t - h) - Ad z``, so ``[x;
   z]`` is a system with no kernel, and with weight ``diag(Q, 0)`` its
   leading ``n x n`` block of ``P`` is ``P``.
 
-The first three are covariant: a solver that is wrong in a way that
+The similarity, realization and scaling relations are covariant: a solver that is wrong in a way that
 respects the block structure, such as a wrong sign of ``Ead`` in both of
 its places, is wrong on both sides alike and passes them. The last
 compares the kernel's blocks against a solve that has none.
@@ -134,3 +139,31 @@ def test_kernel_as_state(name):
     lags = np.linspace(-h, h, LAGS)
     got = P_lags(augmented, scipy.linalg.block_diag(Q, np.zeros((nd, nd))), lags)
     assert_close(got[:, :n, :n], P_lags(sys, Q, lags))
+
+
+@cache
+def inert_reference(name):
+    sys, Q = SYSTEMS[name]()
+    lags = np.linspace(-sys.h, sys.h, LAGS)
+    return sys, Q, lags, P_lags(sys, Q, lags)
+
+
+@pytest.mark.parametrize("a", [-1.0, 0.0, 1.0, 3.0])
+@pytest.mark.parametrize("kind", ["uncontrollable", "unobservable"])
+@pytest.mark.parametrize("name", ["example1", "random2"])
+def test_inert_kernel_mode(name, kind, a):
+    sys, Q, lags, P = inert_reference(name)
+    n, nd = sys.n, sys.internal_dim
+    rng = np.random.default_rng(8)
+    Ad = np.zeros((nd + 1, nd + 1))
+    Ad[:nd, :nd], Ad[nd, nd] = sys.Ad, a
+    Bd = np.vstack([sys.Bd, rng.uniform(-1, 1, (1, n))])
+    Cd = np.hstack([sys.Cd, rng.uniform(-1, 1, (n, 1))])
+    if kind == "uncontrollable":
+        Bd[nd] = 0.0
+        Ad[:nd, nd] = rng.uniform(-1, 1, nd)
+    else:
+        Cd[:, nd] = 0.0
+        Ad[nd, :nd] = rng.uniform(-1, 1, nd)
+    moved = TimeDelaySystem(sys.A0, sys.A1, Ad, Bd, Cd, sys.h)
+    assert_close(P_lags(moved, Q, lags), P)

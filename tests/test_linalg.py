@@ -89,9 +89,30 @@ class TestExpm:
         assert np.array_equal(out, np.eye(3))
 
     def test_zero_scale_is_identity(self):
+        # the series itself gives it, with no negative zero, for float,
+        # negative, complex, 1 x 1 and integer input
         rng = np.random.default_rng(11)
-        M = rng.standard_normal((4, 4))
-        assert np.array_equal(linalg.expm(M, 0.0), np.eye(4))
+        for M in (rng.standard_normal((4, 4)), -np.abs(rng.standard_normal((5, 5))),
+                  rng.standard_normal((2, 2)) - 1j * rng.standard_normal((2, 2)),
+                  np.array([[-3.0]]), np.array([[-2, 1], [0, -1]])):
+            out = linalg.expm(M, 0.0)
+            assert np.array_equal(out, np.eye(len(M)))
+            assert not np.signbit(out.view(float)).any()
+            assert out.dtype == np.result_type(M.dtype, float)
+
+    def test_integer_input_is_taken_as_float(self):
+        out = linalg.expm(np.array([[0, 1], [0, 0]]), 1)
+        assert out.dtype == float
+        assert np.array_equal(out, [[1.0, 1.0], [0.0, 1.0]])
+
+    def test_non_finite_input_raises_at_every_scale(self):
+        for M in ([[np.inf, 0.0], [0.0, 1.0]], [[1.0, np.nan, 0.0]] * 3):
+            for scale in (0.0, 1.0, -2.0):
+                with pytest.raises(OverflowError, match="argument is not finite"):
+                    linalg.expm(np.array(M), scale)
+        for scale in (0.0, 1.0):
+            with pytest.raises(OverflowError):
+                linalg.expm(np.array([[np.nan]]), scale)
 
     def test_diagonal(self):
         out = linalg.expm(np.diag([1.0, -2.0]))
@@ -206,7 +227,7 @@ class TestHalfOrderExpm:
     @staticmethod
     def generator(sys):
         """The solver's ``E`` and the reversal under which it is odd."""
-        return dense_E(sys), solver._reversal(sys.n, sys.internal_dim)
+        return dense_E(sys), solver._layout(sys.n, sys.internal_dim).pi
 
     @staticmethod
     def odd(m, norm, rng):
@@ -259,8 +280,26 @@ class TestHalfOrderExpm:
         assert peak <= 3 * X.nbytes
 
     def test_zero_scale_is_identity(self):
+        # the cosh/sinh form itself gives it, with no negative zero
+        for sys in (benchmark_system()[0], random_stable_system(0, 1, 1),
+                    random_stable_system(0, 3, 2)):
+            E, pi = self.generator(sys)
+            out = odd_expm(E, 0.0, pi)
+            assert np.array_equal(out, np.eye(E.shape[0]))
+            assert not np.signbit(out).any()
+
+    def test_non_finite_input_raises_at_every_scale(self):
         E, pi = self.generator(benchmark_system()[0])
-        assert np.array_equal(odd_expm(E, 0.0, pi), np.eye(E.shape[0]))
+        E[0, 0] = np.nan
+        for scale in (0.0, 1.0):
+            with pytest.raises(OverflowError, match="argument is not finite"):
+                odd_expm(E, scale, pi)
+
+    def test_rejects_a_shape_that_is_not_m_by_half_m(self):
+        pi = np.array([1, 0, 3, 2])
+        for MI in (np.zeros((4, 4)), np.zeros((4, 3)), np.zeros(4)):
+            with pytest.raises(ValueError, match=r"expects an \(m, m / 2\) matrix"):
+                linalg.odd_expm(MI, 1.0, pi)
 
     def test_overflow(self):
         # raised without a RuntimeWarning: by the double-angle steps, and
@@ -433,6 +472,20 @@ class TestSmallestSingularValue:
     def test_rectangular(self):
         A = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
         assert_allclose(linalg.smallest_singular_value(A), 1.0, rtol=1e-12)
+
+    def test_rejects_a_vector(self):
+        with pytest.raises(ValueError, match=r"expects a 2-d array, got shape \(3,\)"):
+            linalg.smallest_singular_value(np.ones(3))
+
+    def test_rejects_non_finite_entries(self):
+        A = np.eye(3)
+        A[1, 2] = np.inf
+        with pytest.raises(ValueError, match=r"expects finite entries, got inf at \(1, 2\)"):
+            linalg.smallest_singular_value(A)
+
+    def test_empty_matrix(self):
+        for shape in ((0, 0), (0, 3), (2, 0)):
+            assert linalg.smallest_singular_value(np.zeros(shape)) == 0.0
 
     def test_matches_svd_on_random(self):
         rng = np.random.default_rng(23)

@@ -75,7 +75,8 @@ def reference_simulate(sys, history, T, dt=None):
     ``xs``, ``ys``, ``xd_start``, ``xd_end``, ``yd_start`` and ``yd_end``
     records with the column axis kept."""
     h = sys.h
-    dt, m, steps = sim._resolve_step(h, T, dt)
+    dt, m = sim._resolve_step(h, dt)
+    steps = max(int(np.ceil(T / dt - 1e-9)), 1)
     n = sys.n
     nd = sys.internal_dim
     c = history.columns
@@ -316,8 +317,8 @@ class TestSimulate:
     def test_continued_run_is_bitwise_a_fresh_run(self, case):
         # the oracles continue one run across their horizons: from inside
         # the first delay interval, past it, and back to a shorter prefix.
-        # With h = 0 the default step follows the horizon, so that run
-        # starts over each time
+        # With h = 0 the default step is 1/64 whatever the horizon, so that
+        # run is continued too
         sys, hist, T = recurrence_case(case.replace("_default_step", ""))
         dt = 1.0 / 64 if case == "h0" else None
         run = sim._Run(sys, hist, dt)
@@ -338,6 +339,31 @@ class TestSimulate:
         assert block.xs.shape == (vector.steps + 1, 2, 1)
         for field in ("xs", "ys", "xd_start", "xd_end", "yd_start", "yd_end"):
             assert getattr(block, field).tobytes() == getattr(vector, field).tobytes()
+
+    def test_run_keeps_its_step(self):
+        # the step is fixed when the run is made, also at h = 0, where
+        # the default does not follow the horizon
+        for case in ("point_mass", "h0"):
+            sys, hist, _ = recurrence_case(case)
+            run = sim._Run(sys, hist)
+            dt = run.dt
+            assert dt == (1.0 / 64 if case == "h0" else sys.h / 64)
+            for horizon in (0.4, 40.0, 2.5):
+                assert run.to(horizon).dt == dt
+                assert run.dt == dt
+
+    def test_zero_delay_default_step(self):
+        # with h = 0 and no dt every run steps 1/64, the oracle's step
+        sys, hist, _ = recurrence_case("h0")
+        weight = Weight(np.eye(2))
+        for T in (3.0, 20.0):
+            traj = simulate(sys, hist, T)
+            assert traj.dt == 1.0 / 64
+            assert traj.steps == 64 * T
+        assert fundamental_matrix(sys, 3.0).dt == 1.0 / 64
+        assert cost_to_go(sys, weight, hist)[1].dt == 1.0 / 64
+        assert np.array_equal(oracle_P(sys, weight, [0.0, 0.5]),
+                              oracle_P(sys, weight, [0.0, 0.5], dt=1.0 / 64))
 
     def test_step_validation(self):
         sys, _ = benchmark_system()
@@ -457,6 +483,13 @@ class TestCost:
         traj = fundamental_matrix(sys, 2.0)
         with pytest.raises(ValueError):
             cost_quadrature(traj, weight)
+
+    def test_weight_dimension_rejected(self):
+        sys, _ = benchmark_system()
+        traj = simulate(sys, HistorySpec.point_mass([1.0, 0.0]), 2.0)
+        with pytest.raises(ValueError, match="weight dimension does not match "
+                                             "the trajectory"):
+            cost_quadrature(traj, Weight(np.eye(3)))
 
     def test_cost_to_go_doubles_horizon(self):
         sys, weight = benchmark_system()
@@ -606,6 +639,12 @@ class TestOracleP:
         for tau in ([], [[0.5]]):
             with pytest.raises(ValueError, match="1-d sequence"):
                 oracle_P(sys, weight, tau)
+
+    def test_weight_dimension_rejected(self):
+        sys, _ = benchmark_system()
+        with pytest.raises(ValueError, match="weight dimension does not match "
+                                             "the system"):
+            oracle_P(sys, Weight([[1.0]]), 0.25)
 
     def test_zero_weight(self):
         sys, _ = benchmark_system()

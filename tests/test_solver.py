@@ -26,7 +26,7 @@ from delaylyap import (
 )
 from delaylyap import linalg, quadrature, solver
 from delaylyap.cli import VALIDATION_BOUNDS
-from delaylyap.solver import BlockAction, OmegaBlocks, _index_maps, _layout, _reversal
+from delaylyap.solver import BlockAction, OmegaBlocks, _layout
 
 from systems import (
     benchmark_sincos_pieces,
@@ -134,7 +134,7 @@ class TestBlockLayout:
         (1, 1, 6), (2, 1, 16), (2, 2, 24), (3, 2, 42), (3, 3, 54),
     ])
     def test_state_size(self, n, nd, expected):
-        shapes, off = _layout(n, nd)
+        shapes, off = _layout(n, nd)[:2]
         assert list(np.diff(off)) == [r * c for r, c in shapes]
         assert off[0] == 0 and off[-1] == expected
 
@@ -160,43 +160,50 @@ class TestBlockLayout:
 
     @pytest.mark.parametrize("n,nd", [(1, 1), (2, 3), (3, 2)])
     def test_reversal_swaps_and_transposes(self, n, nd):
-        w = np.random.default_rng(5).standard_normal(_layout(n, nd)[1][-1])
+        layout = _layout(n, nd)
+        w = np.random.default_rng(5).standard_normal(layout.off[-1])
         om = OmegaBlocks.from_stacked(w, n, nd)
-        flipped = OmegaBlocks.from_stacked(w[_reversal(n, nd)], n, nd)
+        flipped = OmegaBlocks.from_stacked(w[layout.pi], n, nd)
         for i, j in ((0, 1), (2, 5), (3, 4)):
             assert np.array_equal(flipped[i], om[j].T)
             assert np.array_equal(flipped[j], om[i].T)
+        # an involution with no fixed point
+        ns = layout.off[-1]
+        assert np.array_equal(layout.pi[layout.pi], np.arange(ns))
+        assert not np.any(layout.pi == np.arange(ns))
 
     @pytest.mark.parametrize("n,nd", [(1, 1), (2, 3), (3, 2)])
     def test_index_maps_are_cached_and_read_only(self, n, nd):
-        maps = _index_maps(n, nd)
-        assert _index_maps(n, nd) is maps
-        off = _layout(n, nd)[1]
+        layout = _layout(n, nd)
+        assert _layout(n, nd) is layout
+        assert _layout(n, nd + 1) is not layout
+        off = layout.off
         ns = off[-1]
         # I: blocks 1, 3 and 4, the indices below their partners
         I = np.r_[:off[1], off[2]:off[4]]
-        assert np.array_equal(maps.I, I)
-        assert np.array_equal(maps.I, np.flatnonzero(np.arange(ns) < _reversal(n, nd)))
+        assert np.array_equal(layout.I, I)
+        assert np.array_equal(layout.I, np.flatnonzero(np.arange(ns) < layout.pi))
         units = np.zeros((ns, I.size))
-        units.flat[maps.units] = 1.0
+        units.flat[layout.units] = 1.0
         assert np.array_equal(units, np.eye(ns)[:, I])
         eye = np.zeros((ns, ns))
-        eye.flat[maps.eye] = 1.0
+        eye.flat[layout.eye] = 1.0
         want = np.zeros((ns, ns))
         for i, j in ((1, 0), (2, 2), (3, 4)):
             np.fill_diagonal(want[off[i]:off[i + 1], off[j]:off[j + 1]], 1.0)
         assert np.array_equal(eye, want)
-        # index arrays of the layout alone: read-only, and the same before
-        # and after systems of this layout are assembled
-        before = [a.copy() for a in maps]
-        for a in maps:
+        # arrays of the layout alone: read-only, and the same before and
+        # after systems of this layout are assembled
+        arrays = (layout.pi, layout.I, layout.units, layout.eye)
+        before = [a.copy() for a in arrays]
+        for a in arrays:
             assert a.dtype == np.intp and not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0
         for seed in (0, 1):
             assemble(random_stable_system(seed, n, nd))
-        assert _index_maps(n, nd) is maps
-        assert all(np.array_equal(a, b) for a, b in zip(maps, before))
+        assert _layout(n, nd) is layout
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
 
     def test_omega_blocks_validation(self):
         with pytest.raises(ValueError):
@@ -253,8 +260,8 @@ class TestAssembly:
     def test_reversal_negates_E_exactly(self, n, nd):
         # exactly, so that the half-order exponential's p -> p and q -> q
         # blocks vanish and B = E_II + E_JI, C = E_II - E_JI hold unrounded
-        E = BlockAction(random_stable_system(0, n, nd))(np.eye(_layout(n, nd)[1][-1]))
-        pi = _reversal(n, nd)
+        E = BlockAction(random_stable_system(0, n, nd))(np.eye(_layout(n, nd).off[-1]))
+        pi = _layout(n, nd).pi
         assert np.array_equal(E[np.ix_(pi, pi)], -E)
         # I: blocks 1, 3 and 4, the indices below their partners
         off = _layout(n, nd)[1]
@@ -293,7 +300,7 @@ class TestAssembly:
             op = assemble(sys)
             assert isinstance(op.action, BlockAction)
             E, F1, F2 = kron_assembly(sys)
-            pi = _reversal(sys.n, sys.internal_dim)
+            pi = _layout(sys.n, sys.internal_dim).pi
             EI = E[:, np.arange(op.ns) < pi]
             assert op.E_norm == pytest.approx(linalg.norm1(E), rel=1e-15)
             assert np.array_equal(op.expm_Eh, linalg.odd_expm(EI, sys.h, pi))
